@@ -1,7 +1,8 @@
 """Command-line front end: pieces, poset, orbits, sequence, closure, verify.
 
 Exit codes: 0 on success, 1 when the verify suite finds a failure, 2 on bad
-configuration. All output is deterministic for a fixed configuration.
+configuration or when memory runs out. All output is deterministic for a
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -367,6 +368,8 @@ def cmd_verify(ctx: Context) -> tuple[str, int]:
         lines.append(r.summary_line())
         for d, e, g in r.failures:
             lines.append(f"  counterexample: {d}; expected {e}, got {g}")
+        if r.failure_count > len(r.failures):
+            lines.append(f"  ... {r.failure_count - len(r.failures)} further failures not shown")
     lines.append("verdict: " + ("all checks passed" if ok else "FAILURES FOUND"))
     return "\n".join(lines) + "\n", 0 if ok else 1
 
@@ -403,6 +406,13 @@ def main(argv=None) -> int:
             out, code = cmd_verify(ctx)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(
+            f"error: out of memory building {cfg.cartan} for the {cfg.command} command; "
+            f"try a smaller type",
+            file=sys.stderr,
+        )
         return 2
     sys.stdout.write(out)
     return code

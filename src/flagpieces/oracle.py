@@ -37,23 +37,29 @@ class OracleReport:
 
     check_name: str
     instances_checked: int = 0
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
+    failure_count: int = 0  # exact, however many failures are kept
+    failures: list[tuple[str, str, str]] = field(default_factory=list)  # the first few
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.failure_count == 0
 
     def record(self, description: str, expected, got) -> None:
+        self.failure_count += 1
         if len(self.failures) < _MAX_FAILURES:
             self.failures.append((description, str(expected), str(got)))
-        else:
-            self.failures.append(("... further failures suppressed", "", ""))
+
+    def merge(self, other: OracleReport) -> None:
+        """Add another report's instances and failures to this one."""
+        self.instances_checked += other.instances_checked
+        self.failure_count += other.failure_count
+        self.failures.extend(other.failures[: _MAX_FAILURES - len(self.failures)])
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         line = f"{status} {self.check_name} ({self.instances_checked} instances"
         if not self.passed:
-            line += f", {len(self.failures)} failures"
+            line += f", {self.failure_count} failures"
         return line + ")"
 
 
@@ -72,34 +78,24 @@ def subsets_of(indices) -> list[frozenset[int]]:
 
 def bruhat_oracle(u: WeylElement, v: WeylElement) -> bool:
     """Subword test: u <= v iff some subsequence of a reduced word of v is u."""
-    word = v.word
-    if len(word) > _BRUHAT_WORD_CAP:
-        raise ValueError(f"refusing subword scan for l(v) = {len(word)} > {_BRUHAT_WORD_CAP}")
-    g = v.group
-    for mask in range(1 << len(word)):
-        x = g.identity
-        for pos, letter in enumerate(word):
-            if (mask >> pos) & 1:
-                x = x * g.simple_reflection(letter)
-        if x == u:
-            return True
-    return False
+    return u in bruhat_lower_set_oracle(v)
 
 
 def bruhat_lower_set_oracle(v: WeylElement) -> set[WeylElement]:
-    """All products of subsequences of a reduced word of v: {u : u <= v}."""
+    """All products of subsequences of a reduced word of v: {u : u <= v}.
+
+    Built prefix by prefix: the products of subwords of a_1 ... a_m are those
+    of a_1 ... a_{m-1}, each with and without a_m appended.
+    """
     word = v.word
     if len(word) > _BRUHAT_WORD_CAP:
         raise ValueError(f"refusing subword scan for l(v) = {len(word)} > {_BRUHAT_WORD_CAP}")
     g = v.group
-    out = set()
-    for mask in range(1 << len(word)):
-        x = g.identity
-        for pos, letter in enumerate(word):
-            if (mask >> pos) & 1:
-                x = x * g.simple_reflection(letter)
-        out.add(x)
-    return out
+    products = {g.identity.index}
+    for letter in word:
+        rmul = g._rmul[letter]
+        products |= {rmul[x] for x in products}
+    return {g.elements[x] for x in products}
 
 
 # -- stabilizer types -------------------------------------------------------------
@@ -698,9 +694,6 @@ def run_all_checks(group: WeylGroup, delta, parallelism: int = 1) -> list[Oracle
     for kind, (name, _) in enumerate(PER_SUBSET_CHECKS):
         merged = OracleReport(name)
         for chunk in per_subset:
-            merged.instances_checked += chunk[kind].instances_checked
-            for failure in chunk[kind].failures:
-                if len(merged.failures) < _MAX_FAILURES:
-                    merged.failures.append(failure)
+            merged.merge(chunk[kind])
         reports.append(merged)
     return reports

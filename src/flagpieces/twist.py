@@ -1,12 +1,13 @@
 """Diagram automorphisms and the twisted conjugation action x . y = d(x) y x^-1.
 
 A diagram automorphism d permutes the simple roots while preserving the
-Cartan matrix; it acts on the Weyl group by relabeling root indices. For a
-subset J of simple indices this module computes the twisted W_J-orbits and
-their minimal elements, the stabilizer type of a minimal coset
-representative, the class decomposition of W, the one-step cyclic-shift
-relation w -> s_d(j) w s_j (when length does not grow), its strongly
-connected components, and strong conjugacy via length-additive steps.
+Cartan matrix; it acts on the Weyl group by relabeling the letters of
+reduced words, since d(s_i) = s_d(i). For a subset J of simple indices this
+module computes the twisted W_J-orbits and their minimal elements, the
+stabilizer type of a minimal coset representative, the class decomposition
+of W, the one-step cyclic-shift relation w -> s_d(j) w s_j (when length does
+not grow), its strongly connected components, and strong conjugacy via
+length-additive steps.
 """
 
 from __future__ import annotations
@@ -43,19 +44,6 @@ class DiagramAutomorphism:
                     )
         self.images = images
         self.spec = spec if spec is not None else ",".join(str(i) for i in images)
-        # induced permutation of root indices
-        index = root_system.index
-        perm = []
-        for root in root_system.roots:
-            c = [0] * rank
-            for i, x in enumerate(root.coords):
-                c[images[i] - 1] = x
-            perm.append(index[tuple(c)])
-        self.root_perm = tuple(perm)
-        inv = [0] * len(perm)
-        for r, s in enumerate(perm):
-            inv[s] = r
-        self.inv_root_perm = tuple(inv)
 
     @classmethod
     def from_spec(cls, root_system: RootSystem, spec: str) -> DiagramAutomorphism:
@@ -115,17 +103,17 @@ def delta_on_element(delta: DiagramAutomorphism, w: WeylElement) -> WeylElement:
     """Image of w under the group automorphism induced by delta."""
     if w.group.root_system is not delta.root_system:
         raise ValueError("automorphism and element belong to different root systems")
-    rp, inv = delta.root_perm, delta.inv_root_perm
-    perm = w.perm
-    return w.group.element_from_perm(tuple(rp[perm[inv[r]]] for r in range(len(perm))))
+    # delta(s_i) = s_delta(i), so delta maps a reduced word letter by letter
+    return w.group.from_word(delta(i) for i in w.word)
 
 
 def support(w: WeylElement) -> frozenset[int]:
-    """Simple indices below w in Bruhat order = letters of every reduced word."""
-    g = w.group
-    return frozenset(
-        i for i in g.simple_indices if g.bruhat_leq(g.simple_reflection(i), w)
-    )
+    """Simple indices below w in Bruhat order.
+
+    By the subword property these are the letters of a reduced word of w, and
+    every reduced word of w has the same letters.
+    """
+    return frozenset(w.word)
 
 
 def stable_support(w: WeylElement, delta: DiagramAutomorphism) -> frozenset[int]:
@@ -195,6 +183,12 @@ class TwistedConjugation:
         self._strong_cache: dict[frozenset[int], list[int]] = {}
         self._dist_cache: dict[frozenset[int], dict[int, tuple[WeylElement, WeylElement] | None]] = {}
 
+    def _twist_steps(self, J) -> list[tuple]:
+        """Per j in J, the tables (left s_d(j), right s_j): y -> s_d(j) y s_j
+        is r[dl[y]] on element indices."""
+        g = self.group
+        return [(g._lmul[self.delta(j)], g._rmul[j]) for j in sorted(J)]
+
     def delta_apply(self, w: WeylElement) -> WeylElement:
         cached = self._delta_cache[w.index]
         if cached is None:
@@ -216,31 +210,27 @@ class TwistedConjugation:
         cached = self._orbit_cache.get(J)
         if cached is not None:
             return cached
-        g = self.group
-        gens = [(self.delta_apply(g.simple_reflection(j)), g.simple_reflection(j)) for j in sorted(J)]
+        elems = self.group.elements
+        steps = self._twist_steps(J)
         orbit_of: dict[int, int] = {}
         orbits: list[TwistedOrbit] = []
-        for e in g.elements:
-            if e.index in orbit_of:
+        for start in range(len(elems)):
+            if start in orbit_of:
                 continue
             oid = len(orbits)
-            members = [e]
-            orbit_of[e.index] = oid
-            frontier = [e]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for ds, s in gens:
-                        z = ds * y * s
-                        if z.index not in orbit_of:
-                            orbit_of[z.index] = oid
-                            members.append(z)
-                            nxt.append(z)
-                frontier = nxt
-            members.sort(key=lambda e: e.index)
+            orbit_of[start] = oid
+            found = [start]
+            for y in found:  # found grows while it is walked
+                for dl, r in steps:
+                    z = r[dl[y]]
+                    if z not in orbit_of:
+                        orbit_of[z] = oid
+                        found.append(z)
+            found.sort()
+            members = tuple(elems[k] for k in found)
             low = members[0].length
             mins = tuple(m for m in members if m.length == low)
-            orbits.append(TwistedOrbit(tuple(members), mins))
+            orbits.append(TwistedOrbit(members, mins))
         out = (tuple(orbits), orbit_of)
         self._orbit_cache[J] = out
         return out
@@ -329,16 +319,12 @@ class TwistedConjugation:
         return z if z.length <= w.length else None
 
     def _shift_adjacency(self, J) -> list[tuple[int, ...]]:
-        g = self.group
-        pairs = [(self.delta_apply(g.simple_reflection(j)), g.simple_reflection(j)) for j in sorted(J)]
+        elems = self.group.elements
+        steps = self._twist_steps(J)
         adj: list[tuple[int, ...]] = []
-        for w in g.elements:
-            targets = []
-            for ds, s in pairs:
-                z = ds * w * s
-                if z.length <= w.length:
-                    targets.append(z.index)
-            adj.append(tuple(sorted(set(targets))))
+        for w in elems:
+            targets = {r[dl[w.index]] for dl, r in steps}
+            adj.append(tuple(sorted(z for z in targets if elems[z].length <= w.length)))
         return adj
 
     def shift_reachable(self, w: WeylElement, J) -> tuple[WeylElement, ...]:
@@ -492,9 +478,8 @@ class TwistedConjugation:
         returned path lists (j, element reached) for each step taken.
         """
         J = frozenset(J)
-        g = self.group
-        js = sorted(J)
-        gens = {j: (self.delta_apply(g.simple_reflection(j)), g.simple_reflection(j)) for j in js}
+        elems = self.group.elements
+        moves = list(zip(sorted(J), self._twist_steps(J)))
         start = w.index
         parents: dict[int, tuple[int, int]] = {}
         seen = {start}
@@ -502,7 +487,7 @@ class TwistedConjugation:
         counter = 1
         while heap:
             _, _, uidx = heapq.heappop(heap)
-            u = g.elements[uidx]
+            u = elems[uidx]
             form = self._distinguished_form(J, u)
             if form is not None:
                 label, tail = form
@@ -510,16 +495,16 @@ class TwistedConjugation:
                 idx = uidx
                 while idx != start:
                     pidx, j = parents[idx]
-                    steps.append((j, g.elements[idx]))
+                    steps.append((j, elems[idx]))
                     idx = pidx
                 return Reduction(label, tail, tuple(reversed(steps)))
-            for j in js:
-                ds, s = gens[j]
-                z = ds * u * s
-                if z.length <= u.length and z.index not in seen:
-                    seen.add(z.index)
-                    parents[z.index] = (uidx, j)
-                    heapq.heappush(heap, (z.length, counter, z.index))
+            for j, (dl, r) in moves:
+                z = r[dl[uidx]]
+                zlen = elems[z].length
+                if zlen <= u.length and z not in seen:
+                    seen.add(z)
+                    parents[z] = (uidx, j)
+                    heapq.heappush(heap, (zlen, counter, z))
                     counter += 1
         raise RuntimeError(
             "internal error: no distinguished product is shift-reachable from "

@@ -1,17 +1,20 @@
 """Weyl group elements, length, Bruhat order, and minimal coset representatives.
 
-Elements are stored as permutations of the root index set; multiplication is
-composition and length is the count of positive roots sent negative. A
-WeylGroup enumerates the whole (finite) group once, fixes the deterministic
-element order (length, then lexicographically smallest reduced word), and
-memoizes the Bruhat covering digraph plus its reachability closure.
+A WeylGroup enumerates the whole (finite) group once and fixes the
+deterministic element order (length, then lexicographically smallest reduced
+word). For each simple index i it keeps a left table (s_i w) and a right
+table (w s_i) of element indices; elements multiply by walking a reduced
+word through these tables. Each element also keeps the permutation it
+induces on the root index set, which gives root images and descents. The
+Bruhat covering digraph and its reachability closure are built on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable
 
 from .rootsys import CartanDatum, RootSystem, build_root_system
 
@@ -25,30 +28,37 @@ class GroupTooLargeError(RuntimeError):
 
 
 class WeylElement:
-    """A group element as the induced permutation of the root index set."""
+    """A group element: its index in the group table, length, lexicographically
+    smallest reduced word (1-based letters) and induced root permutation.
 
-    __slots__ = ("group", "perm", "index", "length")
+    Elements are interned per group, so equality is identity; the hash is the
+    index, which keeps the iteration order of element sets deterministic.
+    """
 
-    def __init__(self, group: WeylGroup, perm: tuple[int, ...], index: int, length: int):
+    __slots__ = ("group", "perm", "index", "length", "word")
+
+    def __init__(
+        self, group: WeylGroup, perm: tuple[int, ...], index: int, length: int, word: tuple[int, ...]
+    ):
         self.group = group
         self.perm = perm
         self.index = index
         self.length = length
+        self.word = word
 
     def __mul__(self, other: WeylElement) -> WeylElement:
-        if self.group is not other.group:
+        g = self.group
+        if g is not other.group:
             raise ValueError("cannot multiply elements of different Weyl groups")
-        p, q = self.perm, other.perm
-        return self.group._by_perm[tuple(p[q[r]] for r in range(len(p)))]
+        # walk other's reduced word through the right table
+        x, rmul = self.index, g._rmul
+        for i in other.word:
+            x = rmul[i][x]
+        return g.elements[x]
 
     def inverse(self) -> WeylElement:
         g = self.group
         return g.elements[g._inverse_index[self.index]]
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        """The lexicographically smallest reduced word (1-based letters)."""
-        return self.group._words[self.index]
 
     def root_image(self, r: int) -> int:
         """Index of w(alpha_r)."""
@@ -57,17 +67,8 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.length == 0
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, WeylElement)
-            and self.group is other.group
-            and self.perm == other.perm
-        )
-
     def __hash__(self) -> int:
-        return hash(self.perm)
+        return self.index
 
     def __repr__(self) -> str:
         return f"W[{word_str(self)}]"
@@ -78,67 +79,78 @@ class WeylGroup:
 
     def __init__(self, root_system: RootSystem, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.root_system = root_system
-        self.rank = root_system.rank
-        n_roots = len(root_system.roots)
-        n_pos = root_system.n_positive
-        self._n_roots = n_roots
-        self._n_pos = n_pos
-        gens = [root_system.simple_reflection_table[i] for i in range(self.rank)]
-        rng = range(n_roots)
+        self.rank = rank = root_system.rank
+        self._n_roots = len(root_system.roots)
+        self._n_pos = root_system.n_positive
+        gens = [root_system.simple_reflection_table[i] for i in range(rank)]
 
-        ident = tuple(rng)
-        lengths: dict[tuple[int, ...], int] = {ident: 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in gens:
-                    q = tuple(g[p[r]] for r in rng)
-                    if q not in lengths:
-                        lengths[q] = sum(1 for r in range(n_pos) if q[r] >= n_pos)
-                        nxt.append(q)
-                        if len(lengths) > max_elements:
-                            raise GroupTooLargeError(
-                                f"group of type {root_system.datum.label} exceeds the "
-                                f"element ceiling {max_elements}; pass a larger "
-                                f"max_elements to enumerate it anyway"
-                            )
-            frontier = nxt
+        # Breadth-first over left multiplication, numbering elements by
+        # discovery; the depth of an element is its length. left[i][k] is the
+        # discovery id of s_{i+1} w_k.
+        ident = tuple(range(self._n_roots))
+        ids: dict[tuple[int, ...], int] = {ident: 0}
+        perms = [ident]
+        depth = [0]
+        left = [array("I") for _ in range(rank)]
+        for k, p in enumerate(perms):  # perms grows while it is walked
+            compose = itemgetter(*p)  # compose(g) is the permutation g o p
+            d = depth[k] + 1
+            for i, g in enumerate(gens):
+                q = compose(g)
+                j = ids.get(q)
+                if j is None:
+                    j = ids[q] = len(perms)
+                    perms.append(q)
+                    depth.append(d)
+                    if j >= max_elements:
+                        raise GroupTooLargeError(
+                            f"group of type {root_system.datum.label} exceeds the "
+                            f"element ceiling {max_elements}; pass a larger "
+                            f"max_elements to enumerate it anyway"
+                        )
+                left[i].append(j)
+        n = len(perms)
 
         # lexicographically smallest reduced words, by greedy smallest left descent
-        simple_pos = [root_system.simple_root_index(i) for i in range(1, self.rank + 1)]
-        words: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for p in sorted(lengths, key=lengths.get):
-            if p is ident or lengths[p] == 0:
-                words[p] = ()
-                continue
-            inv = [0] * n_roots
-            for r in rng:
-                inv[p[r]] = r
-            for i in range(self.rank):
-                if inv[simple_pos[i]] >= n_pos:  # w^-1(alpha_i) < 0, left descent
-                    g = gens[i]
-                    rest = tuple(g[p[r]] for r in rng)
-                    words[p] = (i + 1,) + words[rest]
+        words: list[tuple[int, ...]] = [()] * n
+        for k in range(1, n):
+            for i in range(rank):
+                u = left[i][k]
+                if depth[u] < depth[k]:
+                    words[k] = (i + 1,) + words[u]
                     break
+        # w^-1 = s_{a_l} ... s_{a_1} for the word a_1 ... a_l of w
+        inverse = []
+        for word in words:
+            x = 0
+            for i in word:
+                x = left[i - 1][x]
+            inverse.append(x)
 
-        order = sorted(lengths, key=lambda p: (lengths[p], words[p]))
+        order = sorted(range(n), key=lambda k: (depth[k], words[k]))
+        new = array("I", [0]) * n
+        for idx, k in enumerate(order):
+            new[k] = idx
         self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(self, p, idx, lengths[p]) for idx, p in enumerate(order)
+            WeylElement(self, perms[k], idx, depth[k], words[k]) for idx, k in enumerate(order)
+        )
+        self._inverse_index = inv = array("I", [new[inverse[k]] for k in order])
+        # multiplication tables, indexed by the 1-based simple index (slot 0 is
+        # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i,
+        # and w s_i = (s_i w^-1)^-1
+        lmul = [array("I")]
+        for table in left:
+            lmul.append(array("I", [new[table[k]] for k in order]))
+        self._lmul: tuple[array, ...] = tuple(lmul)
+        self._rmul: tuple[array, ...] = (array("I"),) + tuple(
+            array("I", [inv[lm[inv[w]]] for w in range(n)]) for lm in lmul[1:]
         )
         self._by_perm: dict[tuple[int, ...], WeylElement] = {
             e.perm: e for e in self.elements
         }
-        self._words: tuple[tuple[int, ...], ...] = tuple(words[p] for p in order)
-        inv_idx = []
-        for e in self.elements:
-            inv = [0] * n_roots
-            for r in rng:
-                inv[e.perm[r]] = r
-            inv_idx.append(self._by_perm[tuple(inv)].index)
-        self._inverse_index: tuple[int, ...] = tuple(inv_idx)
         self.identity: WeylElement = self.elements[0]
-        self._simple_pos = tuple(simple_pos)
+        self._simple = tuple(self.elements[lm[0]] for lm in lmul[1:])
+        self._simple_pos = tuple(root_system.simple_root_index(i) for i in range(1, rank + 1))
         self._parabolic_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._reps_cache: dict[tuple, tuple[WeylElement, ...]] = {}
 
@@ -155,10 +167,7 @@ class WeylGroup:
     def simple_reflection(self, i: int) -> WeylElement:
         if not 1 <= i <= self.rank:
             raise IndexError(f"simple index {i} out of range 1..{self.rank}")
-        return self._by_perm[self.root_system.simple_reflection_table[i - 1]]
-
-    def element_from_perm(self, perm: tuple[int, ...]) -> WeylElement:
-        return self._by_perm[perm]
+        return self._simple[i - 1]
 
     def from_word(self, letters: Iterable[int]) -> WeylElement:
         w = self.identity

@@ -9,10 +9,13 @@ via the session-scoped caches in conftest.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import flagpieces
 from flagpieces import word_str
 from flagpieces.oracle import (
     check_class_partition,
@@ -181,8 +184,12 @@ def test_12_poset_determinism():
         "--format",
         "json",
     ]
+    # the children import the same flagpieces as this process
+    src = str(Path(flagpieces.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = [
-        subprocess.run(args, capture_output=True, check=True).stdout for _ in range(3)
+        subprocess.run(args, capture_output=True, check=True, env=env).stdout
+        for _ in range(3)
     ]
     assert outputs[0] == outputs[1] == outputs[2]
     payload = json.loads(outputs[0])

@@ -213,3 +213,17 @@ def test_repeat_runs_identical(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    import flagpieces.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "WeylGroup", exhausted)
+    code, out, err = run_cli(capsys, "--cartan", "E7", "--delta", "id", "pieces")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory building E7")
+    assert err.count("\n") == 1

@@ -1,5 +1,6 @@
 import pytest
 
+from flagpieces import oracle
 from flagpieces.oracle import (
     OracleReport,
     bruhat_lower_set_oracle,
@@ -12,6 +13,7 @@ from flagpieces.oracle import (
     subsets_of,
 )
 from flagpieces.rootsys import CartanDatum
+from flagpieces.twist import DiagramAutomorphism
 
 
 def test_report_passed_iff_no_failures():
@@ -20,6 +22,23 @@ def test_report_passed_iff_no_failures():
     rep.record("x", 1, 2)
     assert not rep.passed
     assert "FAIL" in rep.summary_line()
+
+
+def test_failure_count_exact_across_subsets(group_of, monkeypatch):
+    def noisy(tc, J):
+        rep = OracleReport("noisy")
+        for k in range(5):
+            rep.instances_checked += 1
+            rep.record(f"J={sorted(J)} #{k}", True, False)
+        return rep
+
+    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("noisy", noisy),))
+    g = group_of("A2")  # 4 subsets J, 5 failures each
+    reports = oracle.run_all_checks(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    merged = reports[-1]
+    assert merged.failure_count == 20
+    assert len(merged.failures) == 8
+    assert merged.summary_line() == "FAIL noisy (20 instances, 20 failures)"
 
 
 def test_bruhat_oracle_trivial_cases(group_of):

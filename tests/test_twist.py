@@ -1,4 +1,5 @@
 import pytest
+from conftest import SCOPE
 
 import flagpieces as fp
 from flagpieces import word_str
@@ -300,3 +301,33 @@ def test_delta_on_element_free_function(group_of):
     d3 = DiagramAutomorphism.from_spec(other, "flip")
     with pytest.raises(ValueError, match="different root systems"):
         delta_on_element(d3, g.simple_reflection(1))
+
+
+@pytest.mark.parametrize(
+    "label,spec", [(label, spec) for label, specs in SCOPE for spec in specs] + [("F4", "id")]
+)
+def test_delta_apply_matches_root_conjugation(tc_of, label, spec):
+    tc = tc_of(label, spec)
+    g, rs = tc.group, tc.group.root_system
+    # delta as a permutation of root indices; delta(w) = delta o w o delta^-1
+    rp = []
+    for root in rs.roots:
+        c = [0] * rs.rank
+        for i, x in enumerate(root.coords):
+            c[tc.delta(i + 1) - 1] = x
+        rp.append(rs.index[tuple(c)])
+    inv = [0] * len(rp)
+    for r, s in enumerate(rp):
+        inv[s] = r
+    by_perm = {w.perm: w for w in g.elements}
+    for w in g.elements:
+        expected = by_perm[tuple(rp[w.perm[inv[r]]] for r in range(len(rp)))]
+        assert tc.delta_apply(w) is expected
+
+
+@pytest.mark.parametrize("label", ["D4", "F4"])
+def test_support_is_bruhat_support(group_of, label):
+    g = group_of(label)
+    for w in g.elements:
+        below = {i for i in g.simple_indices if g.bruhat_leq(g.simple_reflection(i), w)}
+        assert fp.support(w) == below

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from conftest import SCOPE
 
 import flagpieces as fp
 from flagpieces import parse_word, weyl_group, word_str
@@ -238,3 +239,21 @@ def test_deterministic_element_order(group_of):
     assert keys == sorted(keys)
     rebuilt = weyl_group("B2")
     assert [e.word for e in rebuilt.elements] == [e.word for e in g.elements]
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4"}))
+def test_tables_match_permutation_composition(group_of, label):
+    # root permutations are an independent witness for the multiplication tables
+    g = group_of(label)
+    by_perm = {w.perm: w.index for w in g.elements}
+    for i in g.simple_indices:
+        s = g.root_system.simple_reflection_table[i - 1]
+        assert g.simple_reflection(i).perm == s
+        for w in g.elements:
+            assert g._lmul[i][w.index] == by_perm[tuple(s[r] for r in w.perm)]
+            assert g._rmul[i][w.index] == by_perm[tuple(w.perm[r] for r in s)]
+    w0 = g.longest_element
+    for w in g.elements:
+        assert w * w.inverse() == g.identity
+        assert w.inverse() * w == g.identity
+        assert (w * w0).perm == tuple(w.perm[r] for r in w0.perm)
