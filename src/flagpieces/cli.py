@@ -42,7 +42,6 @@ class JobConfig:
     command: str
     w: str | None
     format: str
-    parallelism: int
     max_elements: int
 
 
@@ -78,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--w", default=None, help="word: comma-separated letters, or e")
     p.add_argument("--format", default="text", choices=FORMATS)
-    p.add_argument("--parallelism", type=int, default=1, metavar="N")
     p.add_argument(
         "--max-elements",
         type=int,
@@ -98,8 +96,6 @@ def _build_context(cfg: JobConfig) -> Context:
         w = parse_word(group, cfg.w) if cfg.w is not None else None
     except (CartanError, AutomorphismError, GroupTooLargeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    if cfg.parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {cfg.parallelism}")
     if cfg.command == "sequence":
         if w is None:
             raise ConfigError("the sequence command requires --w")
@@ -342,9 +338,7 @@ def cmd_closure(ctx: Context) -> str:
 
 
 def cmd_verify(ctx: Context) -> tuple[str, int]:
-    reports = oracle.run_all_checks(
-        ctx.group, ctx.delta, parallelism=ctx.cfg.parallelism
-    )
+    reports = oracle.run_all_checks(ctx.group, ctx.delta)
     ok = all(r.passed for r in reports)
     if ctx.cfg.format == "json":
         payload = {
@@ -354,6 +348,7 @@ def cmd_verify(ctx: Context) -> tuple[str, int]:
                 {
                     "name": r.check_name,
                     "instances": r.instances_checked,
+                    "failure_count": r.failure_count,
                     "failures": [
                         {"input": d, "expected": e, "got": g} for d, e, g in r.failures
                     ],
@@ -387,7 +382,6 @@ def main(argv=None) -> int:
         command=ns.command,
         w=ns.w,
         format=ns.format,
-        parallelism=ns.parallelism,
         max_elements=ns.max_elements,
     )
     try:

@@ -671,26 +671,16 @@ def _run_guarded(name: str, check, *args) -> OracleReport:
 
 
 def run_subset_checks(group: WeylGroup, delta, J) -> list[OracleReport]:
-    """All per-J checks with a fresh action cache (safe to run in parallel)."""
+    """All per-J checks with a fresh action cache."""
     tc = TwistedConjugation(group, delta)
     return [_run_guarded(name, check, tc, frozenset(J)) for name, check in PER_SUBSET_CHECKS]
 
 
-def run_all_checks(group: WeylGroup, delta, parallelism: int = 1) -> list[OracleReport]:
+def run_all_checks(group: WeylGroup, delta) -> list[OracleReport]:
     """Whole-suite run for one (group, delta): group-level checks, then the
     per-J checks for every subset of simple indices, merged per check kind."""
     reports = [_run_guarded(name, check, group) for name, check in GROUP_CHECKS]
-    subsets = subsets_of(group.simple_indices)
-    group.bruhat_lower_mask(group.identity)  # pre-warm shared lazy tables
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            per_subset = list(
-                pool.map(lambda J: run_subset_checks(group, delta, J), subsets)
-            )
-    else:
-        per_subset = [run_subset_checks(group, delta, J) for J in subsets]
+    per_subset = [run_subset_checks(group, delta, J) for J in subsets_of(group.simple_indices)]
     for kind, (name, _) in enumerate(PER_SUBSET_CHECKS):
         merged = OracleReport(name)
         for chunk in per_subset:

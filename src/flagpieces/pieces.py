@@ -179,10 +179,6 @@ class ClosurePoset:
     def leq(self, a: int, b: int) -> bool:
         return (self.leq_rows[a] >> b) & 1 == 1
 
-    @property
-    def nodes(self) -> tuple[PieceRecord, ...]:
-        return self.records
-
 
 def piece_records(tc: TwistedConjugation, J) -> tuple[PieceRecord, ...]:
     """One record per element of ^JW, in the deterministic group order."""

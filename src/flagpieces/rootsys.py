@@ -354,11 +354,3 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
 def root_system(label: str) -> RootSystem:
     """Convenience constructor from a type label like "B3"."""
     return build_root_system(CartanDatum.from_label(label))
-
-
-def reflect(rs: RootSystem, i: int, r: int) -> int:
-    return rs.reflect(i, r)
-
-
-def coroot_pairing(rs: RootSystem, r: int, s: int) -> int:
-    return rs.coroot_pairing(r, s)

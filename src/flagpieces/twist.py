@@ -84,9 +84,6 @@ class DiagramAutomorphism:
         """Image of a simple index (1-based)."""
         return self.images[i - 1]
 
-    def inverse_image(self, i: int) -> int:
-        return self.images.index(i) + 1
-
     def subset(self, J) -> frozenset[int]:
         """Image of a subset of simple indices."""
         return frozenset(self.images[j - 1] for j in J)

@@ -3,17 +3,20 @@
 A WeylGroup enumerates the whole (finite) group once and fixes the
 deterministic element order (length, then lexicographically smallest reduced
 word). For each simple index i it keeps a left table (s_i w) and a right
-table (w s_i) of element indices; elements multiply by walking a reduced
-word through these tables. Each element also keeps the permutation it
-induces on the root index set, which gives root images and descents. The
-Bruhat covering digraph and its reachability closure are built on demand.
+table (w s_i) of element indices; these tables and the reduced words are the
+only representation of an element. Elements multiply by walking a reduced
+word through the tables; since the order is by length first, a table entry
+larger than its argument is a length-increasing step, which decides descents
+and coset minimality. Root images walk a reduced word through the simple
+reflections of the root system. The Bruhat covering digraph and its
+reachability closure are built on demand.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from operator import itemgetter
+from operator import mul
 from typing import Iterable
 
 from .rootsys import CartanDatum, RootSystem, build_root_system
@@ -28,20 +31,17 @@ class GroupTooLargeError(RuntimeError):
 
 
 class WeylElement:
-    """A group element: its index in the group table, length, lexicographically
-    smallest reduced word (1-based letters) and induced root permutation.
+    """A group element: its index in the group table, length and
+    lexicographically smallest reduced word (1-based letters).
 
     Elements are interned per group, so equality is identity; the hash is the
     index, which keeps the iteration order of element sets deterministic.
     """
 
-    __slots__ = ("group", "perm", "index", "length", "word")
+    __slots__ = ("group", "index", "length", "word")
 
-    def __init__(
-        self, group: WeylGroup, perm: tuple[int, ...], index: int, length: int, word: tuple[int, ...]
-    ):
+    def __init__(self, group: WeylGroup, index: int, length: int, word: tuple[int, ...]):
         self.group = group
-        self.perm = perm
         self.index = index
         self.length = length
         self.word = word
@@ -62,7 +62,10 @@ class WeylElement:
 
     def root_image(self, r: int) -> int:
         """Index of w(alpha_r)."""
-        return self.perm[r]
+        table = self.group.root_system.simple_reflection_table
+        for i in reversed(self.word):
+            r = table[i - 1][r]
+        return r
 
     def is_identity(self) -> bool:
         return self.length == 0
@@ -80,27 +83,30 @@ class WeylGroup:
     def __init__(self, root_system: RootSystem, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.root_system = root_system
         self.rank = rank = root_system.rank
-        self._n_roots = len(root_system.roots)
-        self._n_pos = root_system.n_positive
-        gens = [root_system.simple_reflection_table[i] for i in range(rank)]
+        a = root_system.datum.cartan_matrix
 
         # Breadth-first over left multiplication, numbering elements by
-        # discovery; the depth of an element is its length. left[i][k] is the
-        # discovery id of s_{i+1} w_k.
-        ident = tuple(range(self._n_roots))
-        ids: dict[tuple[int, ...], int] = {ident: 0}
-        perms = [ident]
+        # discovery; the depth of an element is its length. An element w is
+        # keyed by w(2 rho) in simple-root coordinates (2 rho, the sum of the
+        # positive roots, is regular, so the key determines w), and s_i acts
+        # on a key c by c[i] -= <c, alpha_i^vee>. left[i][k] is the discovery
+        # id of s_{i+1} w_k.
+        positives = root_system.roots[: root_system.n_positive]
+        rho2 = tuple(map(sum, zip(*(r.coords for r in positives))))
+        ids: dict[tuple[int, ...], int] = {rho2: 0}
+        keys = [rho2]
         depth = [0]
         left = [array("I") for _ in range(rank)]
-        for k, p in enumerate(perms):  # perms grows while it is walked
-            compose = itemgetter(*p)  # compose(g) is the permutation g o p
+        for k, c in enumerate(keys):  # keys grows while it is walked
             d = depth[k] + 1
-            for i, g in enumerate(gens):
-                q = compose(g)
+            for i, row in enumerate(a):
+                q = list(c)
+                q[i] -= sum(map(mul, row, c))
+                q = tuple(q)
                 j = ids.get(q)
                 if j is None:
-                    j = ids[q] = len(perms)
-                    perms.append(q)
+                    j = ids[q] = len(keys)
+                    keys.append(q)
                     depth.append(d)
                     if j >= max_elements:
                         raise GroupTooLargeError(
@@ -109,7 +115,8 @@ class WeylGroup:
                             f"max_elements to enumerate it anyway"
                         )
                 left[i].append(j)
-        n = len(perms)
+        n = len(keys)
+        del ids, keys
 
         # lexicographically smallest reduced words, by greedy smallest left descent
         words: list[tuple[int, ...]] = [()] * n
@@ -132,7 +139,7 @@ class WeylGroup:
         for idx, k in enumerate(order):
             new[k] = idx
         self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(self, perms[k], idx, depth[k], words[k]) for idx, k in enumerate(order)
+            WeylElement(self, idx, depth[k], words[k]) for idx, k in enumerate(order)
         )
         self._inverse_index = inv = array("I", [new[inverse[k]] for k in order])
         # multiplication tables, indexed by the 1-based simple index (slot 0 is
@@ -145,12 +152,8 @@ class WeylGroup:
         self._rmul: tuple[array, ...] = (array("I"),) + tuple(
             array("I", [inv[lm[inv[w]]] for w in range(n)]) for lm in lmul[1:]
         )
-        self._by_perm: dict[tuple[int, ...], WeylElement] = {
-            e.perm: e for e in self.elements
-        }
         self.identity: WeylElement = self.elements[0]
         self._simple = tuple(self.elements[lm[0]] for lm in lmul[1:])
-        self._simple_pos = tuple(root_system.simple_root_index(i) for i in range(1, rank + 1))
         self._parabolic_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._reps_cache: dict[tuple, tuple[WeylElement, ...]] = {}
 
@@ -175,59 +178,46 @@ class WeylGroup:
             w = w * self.simple_reflection(i)
         return w
 
-    def multiply(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return a * b
-
-    def inverse(self, a: WeylElement) -> WeylElement:
-        return a.inverse()
-
-    def length(self, a: WeylElement) -> int:
-        return a.length
-
     @cached_property
     def longest_element(self) -> WeylElement:
         return self.elements[-1]
 
     # -- descents and coset representatives ----------------------------------
 
-    def right_descents(self, w: WeylElement) -> frozenset[int]:
-        """{i : l(w s_i) < l(w)}, i.e. w(alpha_i) < 0."""
-        n_pos = self._n_pos
-        return frozenset(
-            i + 1 for i, sp in enumerate(self._simple_pos) if w.perm[sp] >= n_pos
-        )
-
-    def left_descents(self, w: WeylElement) -> frozenset[int]:
-        """{i : l(s_i w) < l(w)}, i.e. w^-1(alpha_i) < 0."""
-        return self.right_descents(w.inverse())
-
     def sends_simple_positive(self, w: WeylElement, i: int) -> bool:
-        """Whether w(alpha_i) is a positive root."""
-        return w.perm[self._simple_pos[i - 1]] < self._n_pos
+        """Whether w(alpha_i) is a positive root, i.e. l(w s_i) > l(w)."""
+        # elements are ordered by length first, and l(w s_i) = l(w) +- 1
+        return self._rmul[i][w.index] > w.index
 
     def is_min_left_rep(self, w: WeylElement, subset) -> bool:
         """w in W^J: minimal in its coset w W_J."""
-        return all(self.sends_simple_positive(w, j) for j in subset)
+        rmul, x = self._rmul, w.index
+        return all(rmul[j][x] > x for j in subset)
 
     def is_min_right_rep(self, w: WeylElement, subset) -> bool:
         """w in ^JW: minimal in its coset W_J w."""
-        inv = w.inverse()
-        return all(self.sends_simple_positive(inv, j) for j in subset)
+        lmul, x = self._lmul, w.index
+        return all(lmul[j][x] > x for j in subset)
 
     def min_coset_rep(self, w: WeylElement, subset, side: str = "right") -> WeylElement:
         """Minimal element of w W_J (side="right") or W_J w (side="left")."""
-        J = sorted(subset)
         if side == "right":
-            while True:
-                for j in J:
-                    if not self.sends_simple_positive(w, j):
-                        w = w * self.simple_reflection(j)
-                        break
-                else:
-                    return w
-        if side == "left":
-            return self.min_coset_rep(w.inverse(), J, "right").inverse()
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+            table = self._rmul
+        elif side == "left":
+            table = self._lmul
+        else:
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        # step down by a descent in J until there is none; the minimum is unique
+        J = sorted(subset)
+        x = w.index
+        while True:
+            for j in J:
+                y = table[j][x]
+                if y < x:
+                    x = y
+                    break
+            else:
+                return self.elements[x]
 
     def parabolic_elements(self, subset) -> tuple[WeylElement, ...]:
         """All elements of the standard parabolic subgroup W_J, in group order."""
@@ -301,17 +291,20 @@ class WeylGroup:
     @cached_property
     def reflections(self) -> tuple[WeylElement, ...]:
         """All reflections, one per positive root, in root order."""
+        # t_alpha_i = s_i; for a non-simple positive beta some s_i lowers its
+        # height, and then t_beta = s_i t_{s_i beta} s_i. Roots are sorted by
+        # height, so s_i beta comes earlier in the root order.
         rs = self.root_system
-        out = []
+        table, lmul, rmul = rs.simple_reflection_table, self._lmul, self._rmul
+        simple = {rs.simple_root_index(i): i for i in self.simple_indices}
+        out: list[int] = []
         for p in range(rs.n_positive):
-            cp = rs.roots[p].coords
-            perm = []
-            for r in range(self._n_roots):
-                pairing = rs.coroot_pairing(r, p)
-                c = tuple(x - pairing * y for x, y in zip(rs.roots[r].coords, cp))
-                perm.append(rs.index[c])
-            out.append(self._by_perm[tuple(perm)])
-        return tuple(out)
+            if p in simple:
+                out.append(lmul[simple[p]][0])
+                continue
+            i = next(i for i in self.simple_indices if table[i - 1][p] < p)
+            out.append(rmul[i][lmul[i][out[table[i - 1][p]]]])
+        return tuple(self.elements[x] for x in out)
 
     @cached_property
     def bruhat_covers_up(self) -> tuple[tuple[int, ...], ...]:
@@ -351,13 +344,6 @@ class WeylGroup:
             if reach[u] & bit:
                 mask |= 1 << u
         return mask
-
-
-def enumerate_group(
-    root_system: RootSystem, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> WeylGroup:
-    """Enumerate the Weyl group of a root system into a frozen group table."""
-    return WeylGroup(root_system, max_elements)
 
 
 def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> WeylGroup:

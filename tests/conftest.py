@@ -17,6 +17,18 @@ def _tc(label: str, delta_spec: str) -> fp.TwistedConjugation:
     return fp.TwistedConjugation(group, delta)
 
 
+def root_perm(w) -> tuple[int, ...]:
+    """The permutation r -> index of w(alpha_r) of the root indices, composed
+    from the root system's simple reflections along the reduced word of w.
+
+    It uses no group table, so it is an independent witness for them."""
+    table = w.group.root_system.simple_reflection_table
+    perm = tuple(range(len(table[0])))
+    for i in w.word:  # (u s_i)(alpha_r) = u(s_i(alpha_r))
+        perm = tuple(perm[r] for r in table[i - 1])
+    return perm
+
+
 @pytest.fixture(scope="session")
 def group_of():
     """Session-cached Weyl group factory keyed by type label."""

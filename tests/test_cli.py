@@ -158,12 +158,38 @@ def test_verify_passes_small_types(capsys):
 
 def test_verify_json_format(capsys):
     code, out, _ = run_cli(
-        capsys, "--cartan", "B2", "--delta", "id", "verify", "--format", "json", "--parallelism", "2"
+        capsys, "--cartan", "B2", "--delta", "id", "verify", "--format", "json"
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(not c["failures"] for c in payload["checks"])
+    assert all(c["failure_count"] == 0 for c in payload["checks"])
+
+
+def test_verify_json_counts_unsampled_failures(capsys, monkeypatch):
+    from flagpieces import oracle
+
+    def noisy(group):
+        rep = oracle.OracleReport("group-order")
+        for k in range(20):
+            rep.instances_checked += 1
+            rep.record(f"case {k}", "ok", "bad")
+        return rep
+
+    checks = tuple(
+        (name, noisy if name == "group-order" else check) for name, check in oracle.GROUP_CHECKS
+    )
+    monkeypatch.setattr(oracle, "GROUP_CHECKS", checks)
+    code, out, _ = run_cli(
+        capsys, "--cartan", "A2", "--delta", "id", "verify", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    (check,) = [c for c in payload["checks"] if c["name"] == "group-order"]
+    assert check["failure_count"] == 20
+    assert len(check["failures"]) == 8
 
 
 def test_corrupt_delta_exits_2_before_checks(capsys):

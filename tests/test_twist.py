@@ -1,5 +1,5 @@
 import pytest
-from conftest import SCOPE
+from conftest import SCOPE, root_perm
 
 import flagpieces as fp
 from flagpieces import word_str
@@ -319,9 +319,10 @@ def test_delta_apply_matches_root_conjugation(tc_of, label, spec):
     inv = [0] * len(rp)
     for r, s in enumerate(rp):
         inv[s] = r
-    by_perm = {w.perm: w for w in g.elements}
-    for w in g.elements:
-        expected = by_perm[tuple(rp[w.perm[inv[r]]] for r in range(len(rp)))]
+    perms = {w: root_perm(w) for w in g.elements}
+    by_perm = {p: w for w, p in perms.items()}
+    for w, p in perms.items():
+        expected = by_perm[tuple(rp[p[inv[r]]] for r in range(len(rp)))]
         assert tc.delta_apply(w) is expected
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from conftest import SCOPE
+from conftest import SCOPE, root_perm
 
 import flagpieces as fp
 from flagpieces import parse_word, weyl_group, word_str
@@ -245,15 +245,46 @@ def test_deterministic_element_order(group_of):
 def test_tables_match_permutation_composition(group_of, label):
     # root permutations are an independent witness for the multiplication tables
     g = group_of(label)
-    by_perm = {w.perm: w.index for w in g.elements}
+    perms = {w: root_perm(w) for w in g.elements}
+    by_perm = {p: w.index for w, p in perms.items()}
     for i in g.simple_indices:
         s = g.root_system.simple_reflection_table[i - 1]
-        assert g.simple_reflection(i).perm == s
-        for w in g.elements:
-            assert g._lmul[i][w.index] == by_perm[tuple(s[r] for r in w.perm)]
-            assert g._rmul[i][w.index] == by_perm[tuple(w.perm[r] for r in s)]
+        assert perms[g.simple_reflection(i)] == s
+        for w, p in perms.items():
+            assert g._lmul[i][w.index] == by_perm[tuple(s[r] for r in p)]
+            assert g._rmul[i][w.index] == by_perm[tuple(p[r] for r in s)]
     w0 = g.longest_element
-    for w in g.elements:
+    for w, p in perms.items():
         assert w * w.inverse() == g.identity
         assert w.inverse() * w == g.identity
-        assert (w * w0).perm == tuple(w.perm[r] for r in w0.perm)
+        assert perms[w * w0] == tuple(p[r] for r in perms[w0])
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4"}))
+def test_root_queries_match_permutation(group_of, label):
+    # root images, descents, coset minimality and reflections against the
+    # root permutation composed along each reduced word
+    g = group_of(label)
+    rs = g.root_system
+    n_roots = len(rs.roots)
+    simple = [rs.simple_root_index(i) for i in g.simple_indices]
+    for w in g.elements:
+        p = root_perm(w)
+        inv = [0] * n_roots
+        for r, img in enumerate(p):
+            inv[img] = r
+        assert tuple(w.root_image(r) for r in range(n_roots)) == p
+        for i, sr in zip(g.simple_indices, simple):
+            assert g.sends_simple_positive(w, i) == rs.is_positive_index(p[sr])
+            assert g.is_min_right_rep(w, {i}) == rs.is_positive_index(inv[sr])
+    # t_beta(alpha_r) = alpha_r - <alpha_r, beta^vee> beta
+    by_perm = {root_perm(w): w for w in g.elements}
+    expected = []
+    for b in range(rs.n_positive):
+        cb = rs.roots[b].coords
+        perm = []
+        for r in range(n_roots):
+            pairing = rs.coroot_pairing(r, b)
+            perm.append(rs.index[tuple(x - pairing * y for x, y in zip(rs.roots[r].coords, cb))])
+        expected.append(by_perm[tuple(perm)])
+    assert g.reflections == tuple(expected)
