@@ -138,22 +138,46 @@ def twisted_leq(
     """
     g = tc.group
     J = frozenset(J)
+    if w.group is not g or w2.group is not g:
+        raise ValueError("elements do not belong to this group")
     if not g.is_min_left_rep(w, J):
         raise ValueError(f"w = {w!r} is not a minimal coset representative for J={sorted(J)}")
-    mins_w = tc.orbit_min(w, J)
+    up = _up_mask(g, tc.orbit_min(w, J))
     if g.is_min_left_rep(w2, J):
-        mins_w2 = tc.orbit_min(w2, J)
-        results = [
-            any(g.bruhat_leq(v, vp) for v in mins_w)
-            for vp in (mins_w2 if verify else mins_w2[:1])
-        ]
-        if verify and any(results) != all(results):
-            raise AssertionError(
-                f"twisted order not independent of the representative for "
-                f"w={w!r}, w2={w2!r}, J={sorted(J)}"
-            )
-        return results[0]
-    return any(g.bruhat_leq(v, w2) for v in mins_w)
+        target = _target_mask(tc.orbit_min(w2, J), verify)
+    else:
+        target = 1 << w2.index
+    hit = up & target
+    if hit and hit != target:
+        raise AssertionError(
+            f"twisted order not independent of the representative for "
+            f"w={w!r}, w2={w2!r}, J={sorted(J)}"
+        )
+    return hit == target
+
+
+def _up_mask(g: WeylGroup, mins) -> int:
+    """Bitmask over element indices x with v <= x in Bruhat order for some v in mins."""
+    reach = g._bruhat_up_reach
+    up = 0
+    for v in mins:
+        up |= reach[v.index]
+    return up
+
+
+def _target_mask(mins, verify: bool) -> int:
+    """The bits an up mask is tested at: the first of mins, or all of them when
+    verifying. A mask that holds only some of them makes the twisted order
+    depend on the representative."""
+    return sum(1 << v.index for v in (mins if verify else mins[:1]))
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -202,43 +226,43 @@ def piece_records(tc: TwistedConjugation, J) -> tuple[PieceRecord, ...]:
 
 
 def closure_poset(tc: TwistedConjugation, J, verify: bool = False) -> ClosurePoset:
-    """Closure order on pieces: a below b iff a^-1 twisted-below b^-1."""
+    """Closure order on pieces: a below b iff a^-1 twisted-below b^-1.
+
+    Row a is read off one mask: up, the OR of the Bruhat up-sets of the
+    minimal elements of the orbit of a^-1. Bit b of the row is the bit of up
+    at the first minimal element of the orbit of b^-1; with verify=True every
+    minimal element of that orbit must give the same bit, and the rows must
+    form a partial order. The covers of a are the b above a that lie above no
+    other c strictly above a: above(a) minus the OR of the rows of those c.
+    """
     g = tc.group
     J = frozenset(J)
     records = piece_records(tc, J)
-    n = len(records)
-    mins = [rec.orbit_min for rec in records]
+    targets = [_target_mask(rec.orbit_min, verify) for rec in records]
     rows = []
-    for ia in range(n):
+    for ia, rec in enumerate(records):
+        up = _up_mask(g, rec.orbit_min)
         mask = 0
-        for ib in range(n):
-            vps = mins[ib] if verify else mins[ib][:1]
-            results = [any(g.bruhat_leq(v, vp) for v in mins[ia]) for vp in vps]
-            if verify and any(results) != all(results):
+        for ib, target in enumerate(targets):
+            hit = up & target
+            if hit == target:
+                mask |= 1 << ib
+            elif hit:
                 raise AssertionError(
                     f"twisted order not independent of the representative at "
                     f"nodes {ia}, {ib} for J={sorted(J)}"
                 )
-            if results[0]:
-                mask |= 1 << ib
         rows.append(mask)
     if verify:
         _check_partial_order(rows)
-    cols = [0] * n
-    for a in range(n):
-        row = rows[a]
-        for b in range(n):
-            if (row >> b) & 1:
-                cols[b] |= 1 << a
-    hasse = []
-    for a in range(n):
-        above = rows[a] & ~(1 << a)
-        for b in range(n):
-            if (above >> b) & 1:
-                between = above & cols[b] & ~(1 << b)
-                if between == 0:
-                    hasse.append((a, b))
-    return ClosurePoset(J, records, tuple(rows), tuple(sorted(hasse)))
+    hasse = []  # a and then b ascend, so the edges come out sorted
+    for a, row in enumerate(rows):
+        above = row & ~(1 << a)
+        through = 0
+        for c in _bits(above):
+            through |= rows[c] & ~(1 << c)
+        hasse.extend((a, b) for b in _bits(above & ~through))
+    return ClosurePoset(J, records, tuple(rows), tuple(hasse))
 
 
 def _check_partial_order(rows: list[int]) -> None:

@@ -236,7 +236,8 @@ class RootSystem:
 
     Immutable after construction: roots are listed positives first (sorted by
     height, then coordinates), then the negatives in mirrored order, so the
-    negation of root r is root (r + n_positive) mod (2 * n_positive).
+    negation of root r is root (r + n_positive) mod (2 * n_positive). The only
+    state added later is the memo of Levi root sets, filled on first query.
     """
 
     def __init__(self, datum: CartanDatum, positives: list[tuple[int, ...]]):
@@ -262,6 +263,7 @@ class RootSystem:
             i + 1: self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         }
+        self._parabolic_roots: dict[tuple[frozenset[int], bool], frozenset[int]] = {}
 
     def __repr__(self) -> str:
         return f"RootSystem({self.datum.label}, {self.n_positive} positive roots)"
@@ -302,15 +304,18 @@ class RootSystem:
         return int(val)
 
     def parabolic_root_indices(self, subset, positive_only: bool = False) -> frozenset[int]:
-        """Indices of roots supported on the simple-index subset."""
-        sub = set(subset)
-        out = []
-        for k, root in enumerate(self.roots):
-            if positive_only and not self.is_positive_index(k):
-                continue
-            if all(c == 0 or (i + 1) in sub for i, c in enumerate(root.coords)):
-                out.append(k)
-        return frozenset(out)
+        """Indices of roots supported on the simple-index subset (memoized)."""
+        key = (frozenset(subset), bool(positive_only))
+        found = self._parabolic_roots.get(key)
+        if found is None:
+            sub = key[0]
+            found = self._parabolic_roots[key] = frozenset(
+                k
+                for k, root in enumerate(self.roots)
+                if (not positive_only or self.is_positive_index(k))
+                and all(c == 0 or (i + 1) in sub for i, c in enumerate(root.coords))
+            )
+        return found
 
 
 def _reflect_coords(a, i: int, coords: tuple[int, ...]) -> tuple[int, ...]:

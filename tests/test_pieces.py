@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
 import flagpieces as fp
+from conftest import SCOPE
+from flagpieces import pieces as pieces_mod
 from flagpieces import word_str
 from flagpieces.oracle import (
     check_closure_agreement,
@@ -14,6 +18,7 @@ from flagpieces.pieces import (
     CriterionNotApplicable,
     SequenceError,
     TwistedSequence,
+    _check_partial_order,
     closure_poset,
     is_irreducible,
     parabolic_restriction_type,
@@ -282,3 +287,123 @@ def test_order_axioms_and_closure_agreement_small(tc_of, label, spec):
         assert check_order_axioms(tc, J).passed
         report = check_closure_agreement(tc, J)
         assert report.passed, report.failures
+
+
+# -- closure rows from reach masks -------------------------------------------
+
+
+def _closure_by_pairs(tc, J):
+    """Rows and Hasse edges by one bruhat_leq call per (piece, piece, minimum),
+    with the covers found through the column transpose."""
+    g = tc.group
+    mins = [rec.orbit_min for rec in piece_records(tc, J)]
+    n = len(mins)
+    rows = []
+    for ia in range(n):
+        mask = 0
+        for ib in range(n):
+            if any(g.bruhat_leq(v, mins[ib][0]) for v in mins[ia]):
+                mask |= 1 << ib
+        rows.append(mask)
+    cols = [0] * n
+    for a in range(n):
+        for b in range(n):
+            if (rows[a] >> b) & 1:
+                cols[b] |= 1 << a
+    hasse = []
+    for a in range(n):
+        above = rows[a] & ~(1 << a)
+        for b in range(n):
+            if (above >> b) & 1 and above & cols[b] & ~(1 << b) == 0:
+                hasse.append((a, b))
+    return tuple(rows), tuple(sorted(hasse))
+
+
+@pytest.mark.parametrize("label,spec", [(t, d) for t, specs in SCOPE for d in specs])
+def test_closure_poset_matches_pairwise_bruhat(tc_of, label, spec):
+    tc = tc_of(label, spec)
+    for J in subsets_of(tc.group.simple_indices):
+        poset = closure_poset(tc, J)
+        assert (poset.leq_rows, poset.hasse_edges) == _closure_by_pairs(tc, J)
+
+
+@pytest.mark.parametrize("label,spec", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])
+def test_twisted_leq_matches_pairwise_bruhat(tc_of, label, spec):
+    tc = tc_of(label, spec)
+    g = tc.group
+    for J in subsets_of(g.simple_indices):
+        for w in g.min_coset_reps(J, "right"):
+            mins_w = tc.orbit_min(w, J)
+            for w2 in g.elements:
+                target = tc.orbit_min(w2, J)[0] if g.is_min_left_rep(w2, J) else w2
+                expected = any(g.bruhat_leq(v, target) for v in mins_w)
+                assert twisted_leq(tc, J, w, w2) == expected
+
+
+def test_closure_and_twisted_leq_make_no_bruhat_leq_calls(tc_of, monkeypatch):
+    tc = tc_of("B3", "id")
+    g = tc.group
+
+    def refuse(self, u, v):
+        raise AssertionError("bruhat_leq called")
+
+    monkeypatch.setattr(fp.WeylGroup, "bruhat_leq", refuse)
+    for J in subsets_of(g.simple_indices):
+        closure_poset(tc, J, verify=True)
+        reps = g.min_coset_reps(J, "right")
+        for w in reps:
+            for w2 in (reps[-1], g.longest_element, g.simple_reflection(1)):
+                twisted_leq(tc, J, w, w2, verify=True)
+
+
+def test_twisted_leq_rejects_foreign_elements(tc_of):
+    tc = tc_of("A2", "id")
+    other = tc_of("A3", "id").group
+    with pytest.raises(ValueError, match="do not belong"):
+        twisted_leq(tc, set(), tc.group.identity, other.identity)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([0b10, 0b10], "not reflexive at node 0"),
+        ([0b11, 0b11], "not antisymmetric at 0, 1"),
+        ([0b011, 0b110, 0b100], "not transitive at 0, 1"),
+    ],
+)
+def test_check_partial_order_rejects_broken_rows(rows, message):
+    with pytest.raises(AssertionError, match=message):
+        _check_partial_order(rows)
+
+
+def test_closure_poset_verify_detects_representative_dependence(tc_of, monkeypatch):
+    # give the A2 (J = {}) piece of s1 the minima (s1, s2): s2 <= s2 holds but
+    # s2 <= s1 does not, so the order depends on the representative
+    tc = tc_of("A2", "id")
+    s1, s2 = tc.group.simple_reflection(1), tc.group.simple_reflection(2)
+    real = piece_records
+
+    def doctored(tc_, J):
+        return tuple(
+            dataclasses.replace(rec, orbit_min=(s1, s2)) if rec.inv_w == s1 else rec
+            for rec in real(tc_, J)
+        )
+
+    monkeypatch.setattr(pieces_mod, "piece_records", doctored)
+    closure_poset(tc, set())  # the fast path reads one representative only
+    with pytest.raises(AssertionError, match="not independent of the representative"):
+        closure_poset(tc, set(), verify=True)
+
+
+def test_twisted_leq_verify_detects_representative_dependence(tc_of, monkeypatch):
+    base = tc_of("A2", "id")
+    tc = fp.TwistedConjugation(base.group, base.delta)
+    g = tc.group
+    s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
+    real = tc.orbit_min
+    monkeypatch.setattr(
+        tc, "orbit_min", lambda y, J: (s1, s2) if y == s1 else real(y, J)
+    )
+    assert not twisted_leq(tc, set(), s2, s1)
+    with pytest.raises(AssertionError, match="not independent of the representative"):
+        twisted_leq(tc, set(), s2, s1, verify=True)

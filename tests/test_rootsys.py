@@ -172,3 +172,52 @@ def test_parabolic_root_indices():
     assert {rs.roots[k].coords for k in phi1} == {(1, 0), (-1, 0)}
     assert rs.parabolic_root_indices(set()) == frozenset()
     assert len(rs.parabolic_root_indices({1, 2})) == 6
+
+
+def _scan(rs, subset, positive_only):
+    return frozenset(
+        k
+        for k, root in enumerate(rs.roots)
+        if (not positive_only or sum(root.coords) > 0)
+        and all(c == 0 or i + 1 in subset for i, c in enumerate(root.coords))
+    )
+
+
+class _CountingRoots(tuple):
+    """The roots tuple, counting how often it is iterated (one count per scan)."""
+
+    scans = 0
+
+    def __iter__(self):
+        type(self).scans += 1
+        return super().__iter__()
+
+
+def test_parabolic_root_indices_scans_each_key_once(monkeypatch):
+    rs = root_system("B3")
+    monkeypatch.setattr(_CountingRoots, "scans", 0)
+    rs.roots = _CountingRoots(rs.roots)
+    for positive_only in (False, True):
+        expected = _scan(rs, {1, 2}, positive_only)
+        before = _CountingRoots.scans
+        found = {
+            rs.parabolic_root_indices(arg, positive_only=positive_only)
+            for arg in ([1, 2], {1, 2}, frozenset({1, 2}), range(1, 3), (2, 1))
+        }
+        assert _CountingRoots.scans == before + 1
+        assert found == {expected}
+    # a second root system keeps its own memo
+    assert root_system("B3").parabolic_root_indices({1, 2}) == _scan(rs, {1, 2}, False)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "F4"])
+def test_parabolic_root_indices_match_scan(label):
+    rs = root_system(label)
+    for mask in range(1 << rs.rank):
+        subset = {i + 1 for i in range(rs.rank) if mask >> i & 1}
+        both = rs.parabolic_root_indices(subset)
+        pos = rs.parabolic_root_indices(subset, positive_only=True)
+        assert both == _scan(rs, subset, False)
+        assert pos == _scan(rs, subset, True)
+        assert len(both) == 2 * len(pos)
+        assert (pos != both) == bool(subset)
