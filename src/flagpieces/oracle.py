@@ -300,25 +300,10 @@ def check_root_system(rs: RootSystem) -> OracleReport:
     return rep
 
 
-def _closed_form_order(datum: CartanDatum) -> int:
-    import math
-
-    n = datum.rank
-    return {
-        "A": math.factorial(n + 1),
-        "B": 2**n * math.factorial(n),
-        "C": 2**n * math.factorial(n),
-        "D": 2 ** (n - 1) * math.factorial(n),
-        "E": {6: 51840, 7: 2903040, 8: 696729600}.get(n, 0),
-        "F": 1152,
-        "G": 12,
-    }[datum.family]
-
-
 def check_group_order(group: WeylGroup) -> OracleReport:
     rep = OracleReport("group-order")
     rep.instances_checked = 1
-    expected = _closed_form_order(group.root_system.datum)
+    expected = group.root_system.datum.weyl_group_order
     if group.order != expected:
         rep.record(f"order of W({group.root_system.datum.label})", expected, group.order)
     return rep

@@ -8,6 +8,7 @@ drives the simple reflection: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +101,20 @@ class CartanDatum:
     @property
     def label(self) -> str:
         return f"{self.family}{self.rank}"
+
+    @property
+    def weyl_group_order(self) -> int:
+        """|W| by the closed-form order formula of each family."""
+        n = self.rank
+        return {
+            "A": math.factorial(n + 1),
+            "B": 2**n * math.factorial(n),
+            "C": 2**n * math.factorial(n),
+            "D": 2 ** (n - 1) * math.factorial(n),
+            "E": {6: 51840, 7: 2903040, 8: 696729600}.get(n, 0),
+            "F": 1152,
+            "G": 12,
+        }[self.family]
 
     @cached_property
     def symmetrizer(self) -> tuple[Fraction, ...]:

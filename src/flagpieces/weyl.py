@@ -1,22 +1,25 @@
 """Weyl group elements, length, Bruhat order, and minimal coset representatives.
 
-A WeylGroup enumerates the whole (finite) group once and fixes the
-deterministic element order (length, then lexicographically smallest reduced
-word). For each simple index i it keeps a left table (s_i w) and a right
-table (w s_i) of element indices; these tables and the reduced words are the
-only representation of an element. Elements multiply by walking a reduced
-word through the tables; since the order is by length first, a table entry
-larger than its argument is a length-increasing step, which decides descents
-and coset minimality. Root images walk a reduced word through the simple
-reflections of the root system. The Bruhat covering digraph and its
-reachability closure are built on demand.
+A WeylGroup checks the closed-form order against the element ceiling, then
+enumerates the whole group breadth-first, one length level at a time, keyed on
+w(2 rho) packed into one int. Discovery order is already the deterministic
+element order (length, then lexicographically smallest reduced word), and an
+inverse follows from the word with its last letter dropped. For each simple
+index i the group keeps a left table (s_i w) and a right table (w s_i) of
+element indices; these tables and the reduced words are the only
+representation of an element. Elements multiply by walking a reduced word
+through the tables; since the order is by length first, a table entry larger
+than its argument is a length-increasing step, which decides descents and
+coset minimality and grows coset representatives from the identity. Root
+images walk a reduced word through the simple reflections of the root
+system. The Bruhat covering digraph and its reachability closure are built on
+demand.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from operator import mul
 from typing import Iterable
 
 from .rootsys import CartanDatum, RootSystem, build_root_system
@@ -28,6 +31,12 @@ DEFAULT_MAX_ELEMENTS = 3_000_000
 
 class GroupTooLargeError(RuntimeError):
     """Raised when enumeration would exceed the element-count ceiling."""
+
+
+def _weight_field(n_positive: int) -> tuple[int, int]:
+    """Bit width and offset of one packed weight coordinate: a coordinate in
+    -2N..2N (N positive roots) is stored as coordinate + 2N in 0..4N."""
+    return (4 * n_positive).bit_length(), 2 * n_positive
 
 
 class WeylElement:
@@ -83,77 +92,79 @@ class WeylGroup:
     def __init__(self, root_system: RootSystem, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.root_system = root_system
         self.rank = rank = root_system.rank
-        a = root_system.datum.cartan_matrix
+        datum = root_system.datum
+        if datum.weyl_group_order > max_elements:
+            raise GroupTooLargeError(
+                f"group of type {datum.label} exceeds the element ceiling "
+                f"{max_elements}; pass a larger max_elements to enumerate it anyway"
+            )
+        a = datum.cartan_matrix
 
-        # Breadth-first over left multiplication, numbering elements by
-        # discovery; the depth of an element is its length. An element w is
-        # keyed by w(2 rho) in simple-root coordinates (2 rho, the sum of the
-        # positive roots, is regular, so the key determines w), and s_i acts
-        # on a key c by c[i] -= <c, alpha_i^vee>. left[i][k] is the discovery
-        # id of s_{i+1} w_k.
-        positives = root_system.roots[: root_system.n_positive]
-        rho2 = tuple(map(sum, zip(*(r.coords for r in positives))))
-        ids: dict[tuple[int, ...], int] = {rho2: 0}
-        keys = [rho2]
-        depth = [0]
-        left = [array("I") for _ in range(rank)]
-        for k, c in enumerate(keys):  # keys grows while it is walked
-            d = depth[k] + 1
-            for i, row in enumerate(a):
-                q = list(c)
-                q[i] -= sum(map(mul, row, c))
-                q = tuple(q)
-                j = ids.get(q)
-                if j is None:
-                    j = ids[q] = len(keys)
-                    keys.append(q)
-                    depth.append(d)
-                    if j >= max_elements:
-                        raise GroupTooLargeError(
-                            f"group of type {root_system.datum.label} exceeds the "
-                            f"element ceiling {max_elements}; pass a larger "
-                            f"max_elements to enumerate it anyway"
-                        )
-                left[i].append(j)
-        n = len(keys)
-        del ids, keys
-
-        # lexicographically smallest reduced words, by greedy smallest left descent
-        words: list[tuple[int, ...]] = [()] * n
-        for k in range(1, n):
+        # Breadth-first over left multiplication, one length level at a time.
+        # An element w is keyed by lambda = w(2 rho) in fundamental-weight
+        # coordinates, lambda_j = <w(2 rho), alpha_j^vee>; 2 rho is regular, so
+        # lambda determines w. |lambda_j| <= 2N for N positive roots, so each
+        # coordinate is stored plus 2N in its own `width`-bit field of one int.
+        # s_i subtracts lambda_i alpha_i, i.e. lambda_i times column i of the
+        # Cartan matrix, and l(s_i w) > l(w) iff lambda_i > 0. With i as the
+        # outer loop and the level, in order, as the inner one, each element
+        # is first reached from its smallest left descent i, so numbering by
+        # discovery gives the (length, lexicographically smallest reduced
+        # word) order and that word is (i,) + word(s_i w). left[i][w] is the
+        # index of s_{i+1} w; pre[w] is w without the last letter of its word.
+        width, offset = _weight_field(root_system.n_positive)
+        field = (1 << width) - 1
+        shifts = [width * j for j in range(rank)]
+        columns = [sum(a[j][i] << s for j, s in enumerate(shifts)) for i in range(rank)]
+        left = [array("I", [0]) for _ in range(rank)]
+        words: list[tuple[int, ...]] = [()]
+        pre = array("I", [0])
+        level = [sum((2 + offset) << s for s in shifts)]
+        start = 0  # index of level[0]
+        n = capacity = 1
+        while level:
+            ids: dict[int, int] = {}
             for i in range(rank):
-                u = left[i][k]
-                if depth[u] < depth[k]:
-                    words[k] = (i + 1,) + words[u]
-                    break
-        # w^-1 = s_{a_l} ... s_{a_1} for the word a_1 ... a_l of w
-        inverse = []
-        for word in words:
-            x = 0
-            for i in word:
-                x = left[i - 1][x]
-            inverse.append(x)
+                column, shift, li, letter = columns[i], shifts[i], left[i], (i + 1,)
+                for u, key in enumerate(level, start):
+                    lam = (key >> shift & field) - offset
+                    if lam > 0:
+                        q = key - lam * column
+                        j = ids.get(q)
+                        if j is None:
+                            j = ids[q] = n
+                            n += 1
+                            if j == capacity:
+                                # every entry is written before it is read
+                                for table in left:
+                                    table.extend(table)
+                                capacity *= 2
+                            words.append(letter + words[u])
+                            pre.append(li[pre[u]] if u else 0)
+                        li[u] = j
+                        li[j] = u
+            start += len(level)
+            level = list(ids)
+        for table in left:
+            del table[n:]
 
-        order = sorted(range(n), key=lambda k: (depth[k], words[k]))
-        new = array("I", [0]) * n
-        for idx, k in enumerate(order):
-            new[k] = idx
         self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(self, idx, depth[k], words[k]) for idx, k in enumerate(order)
+            WeylElement(self, k, len(word), word) for k, word in enumerate(words)
         )
-        self._inverse_index = inv = array("I", [new[inverse[k]] for k in order])
+        # w = pre[w] s_a for the last letter a, so w^-1 = s_a pre[w]^-1
+        inv = array("I", [0])
+        for k in range(1, n):
+            inv.append(left[words[k][-1] - 1][inv[pre[k]]])
+        self._inverse_index = inv
         # multiplication tables, indexed by the 1-based simple index (slot 0 is
         # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i,
         # and w s_i = (s_i w^-1)^-1
-        lmul = [array("I")]
-        for table in left:
-            lmul.append(array("I", [new[table[k]] for k in order]))
-        self._lmul: tuple[array, ...] = tuple(lmul)
+        self._lmul: tuple[array, ...] = (array("I"),) + tuple(left)
         self._rmul: tuple[array, ...] = (array("I"),) + tuple(
-            array("I", [inv[lm[inv[w]]] for w in range(n)]) for lm in lmul[1:]
+            array("I", [inv[lm[x]] for x in inv]) for lm in left
         )
         self.identity: WeylElement = self.elements[0]
-        self._simple = tuple(self.elements[lm[0]] for lm in lmul[1:])
+        self._simple = tuple(self.elements[lm[0]] for lm in left)
         self._parabolic_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._reps_cache: dict[tuple, tuple[WeylElement, ...]] = {}
 
@@ -252,12 +263,26 @@ class WeylGroup:
         cached = self._reps_cache.get(key)
         if cached is not None:
             return cached
+        # ^JW is closed under prefixes of reduced words and W^J under suffixes
+        # (Bjorner-Brenti, GTM 231, 2.4), so each grows from the identity by
+        # length-increasing steps that stay inside it: ^JW by w -> w s_i
+        # through _rmul, W^J by w -> s_i w through _lmul.
         if side == "right":
-            out = tuple(e for e in self.elements if self.is_min_left_rep(e, J))
+            grow, test = self._lmul, self._rmul
         elif side == "left":
-            out = tuple(e for e in self.elements if self.is_min_right_rep(e, J))
+            grow, test = self._rmul, self._lmul
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        found = {0}
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for i in self.simple_indices:
+                y = grow[i][x]
+                if y > x and y not in found and all(test[j][y] > y for j in J):
+                    found.add(y)
+                    stack.append(y)
+        out = tuple(self.elements[x] for x in sorted(found))
         self._reps_cache[key] = out
         return out
 
@@ -268,11 +293,7 @@ class WeylGroup:
         cached = self._reps_cache.get(key)
         if cached is not None:
             return cached
-        out = tuple(
-            e
-            for e in self.elements
-            if self.is_min_right_rep(e, J) and self.is_min_left_rep(e, K)
-        )
+        out = tuple(e for e in self.min_coset_reps(J, "left") if self.is_min_left_rep(e, K))
         self._reps_cache[key] = out
         return out
 

@@ -241,6 +241,16 @@ def test_repeat_runs_identical(capsys):
     assert out1 == out2
 
 
+def test_over_ceiling_type_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--cartan", "E8", "--delta", "id", "--j", "1", "pieces")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: group of type E8 exceeds the element ceiling 3000000; "
+        "pass a larger max_elements to enumerate it anyway\n"
+    )
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     import flagpieces.cli as cli
 

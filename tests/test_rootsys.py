@@ -8,6 +8,7 @@ from flagpieces.rootsys import (
     root_system,
     standard_cartan_matrix,
 )
+from flagpieces.weyl import _weight_field
 
 SUPPORTED = [
     "A1", "A2", "A3", "A4", "A5",
@@ -221,3 +222,23 @@ def test_parabolic_root_indices_match_scan(label):
         assert pos == _scan(rs, subset, True)
         assert len(both) == 2 * len(pos)
         assert (pos != both) == bool(subset)
+
+
+@pytest.mark.parametrize("label", SUPPORTED + ["B8", "C8", "D8"])
+def test_weight_keys_fit_their_packed_fields(label):
+    # the group table keys w by <w(2 rho), alpha_j^vee> = <2 rho, beta^vee>
+    # for the root beta = w^-1(alpha_j); a value outside its field would
+    # carry into the next one and merge keys
+    rs = root_system(label)
+    b = rs.datum.bilinear
+    rank = rs.rank
+
+    def form(x, y):
+        return sum(x[i] * b[i][j] * y[j] for i in range(rank) for j in range(rank))
+
+    rho2 = [sum(r.coords[i] for r in rs.roots[: rs.n_positive]) for i in range(rank)]
+    pairings = [2 * form(rho2, r.coords) / form(r.coords, r.coords) for r in rs.roots]
+    assert all(p.denominator == 1 for p in pairings)
+    width, offset = _weight_field(rs.n_positive)
+    assert max(abs(p) for p in pairings) <= offset
+    assert 2 * offset < 1 << width

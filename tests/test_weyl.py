@@ -1,4 +1,7 @@
 import math
+import time
+from array import array
+from operator import mul
 
 import pytest
 from conftest import SCOPE, root_perm
@@ -68,6 +71,22 @@ def test_group_orders(group_of, label, expected):
 def test_enumeration_ceiling():
     with pytest.raises(GroupTooLargeError):
         weyl_group("A3", max_elements=10)
+
+
+def test_enumeration_ceiling_is_the_group_order():
+    for ceiling in (5, 24, 47):
+        with pytest.raises(GroupTooLargeError, match="B3 exceeds the element ceiling"):
+            weyl_group("B3", max_elements=ceiling)
+    assert weyl_group("B3", max_elements=48).order == 48
+
+
+def test_over_ceiling_group_refused_before_enumeration():
+    # E8 has 696,729,600 elements; enumerating 3 M of them before refusing
+    # took about 45 s
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLargeError, match="E8 exceeds the element ceiling 3000000"):
+        weyl_group("E8")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_length_via_negated_positives(group_of):
@@ -288,3 +307,91 @@ def test_root_queries_match_permutation(group_of, label):
             perm.append(rs.index[tuple(x - pairing * y for x, y in zip(rs.roots[r].coords, cb))])
         expected.append(by_perm[tuple(perm)])
     assert g.reflections == tuple(expected)
+
+
+def _reference_tables(rs):
+    """The group tables by the earlier construction: breadth-first search
+    keyed on w(2 rho) in simple-root coordinates, reduced words by the
+    smallest left descent, inverses by walking each word, then a sort into
+    (length, word) order. Returns words, lengths, left and right tables
+    (0-based simple index) and the inverse index."""
+    rank, a = rs.rank, rs.datum.cartan_matrix
+    rho2 = tuple(map(sum, zip(*(r.coords for r in rs.roots[: rs.n_positive]))))
+    ids, keys, depth = {rho2: 0}, [rho2], [0]
+    left = [[] for _ in range(rank)]
+    for k, c in enumerate(keys):
+        for i, row in enumerate(a):
+            q = list(c)
+            q[i] -= sum(map(mul, row, c))
+            q = tuple(q)
+            j = ids.get(q)
+            if j is None:
+                j = ids[q] = len(keys)
+                keys.append(q)
+                depth.append(depth[k] + 1)
+            left[i].append(j)
+    n = len(keys)
+    words = [()] * n
+    for k in range(1, n):
+        for i in range(rank):
+            u = left[i][k]
+            if depth[u] < depth[k]:
+                words[k] = (i + 1,) + words[u]
+                break
+    inverse = []
+    for word in words:
+        x = 0
+        for i in word:
+            x = left[i - 1][x]
+        inverse.append(x)
+    order = sorted(range(n), key=lambda k: (depth[k], words[k]))
+    new = [0] * n
+    for idx, k in enumerate(order):
+        new[k] = idx
+    inv = [new[inverse[k]] for k in order]
+    lmul = [[new[table[k]] for k in order] for table in left]
+    rmul = [[inv[lm[inv[w]]] for w in range(n)] for lm in lmul]
+    return [words[k] for k in order], [depth[k] for k in order], lmul, rmul, inv
+
+
+@pytest.mark.parametrize(
+    "label", sorted({label for label, _ in SCOPE} | {"F4", "B5", "D5", "E6"})
+)
+def test_tables_match_reference_construction(label):
+    g = weyl_group(label)
+    words, lengths, lmul, rmul, inv = _reference_tables(g.root_system)
+    assert [e.word for e in g.elements] == words
+    assert [e.length for e in g.elements] == lengths
+    assert [e.index for e in g.elements] == list(range(g.order))
+    assert g._lmul[1:] == tuple(array("I", t) for t in lmul)
+    assert g._rmul[1:] == tuple(array("I", t) for t in rmul)
+    assert g._inverse_index == array("I", inv)
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4"}))
+def test_min_coset_reps_match_full_scan(group_of, label):
+    g = group_of(label)
+    for J in subsets_of(g.simple_indices):
+        assert g.min_coset_reps(J, "right") == tuple(
+            e for e in g.elements if g.is_min_left_rep(e, J)
+        )
+        assert g.min_coset_reps(J, "left") == tuple(
+            e for e in g.elements if g.is_min_right_rep(e, J)
+        )
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE}))
+def test_min_double_coset_reps_match_full_scan(group_of, label):
+    g = group_of(label)
+    for J in subsets_of(g.simple_indices):
+        for K in subsets_of(g.simple_indices):
+            assert g.min_double_coset_reps(J, K) == tuple(
+                e
+                for e in g.elements
+                if g.is_min_right_rep(e, J) and g.is_min_left_rep(e, K)
+            )
+
+
+def test_min_coset_reps_rejects_unknown_side(group_of):
+    with pytest.raises(ValueError, match="side must be"):
+        group_of("A2").min_coset_reps({1}, "up")
