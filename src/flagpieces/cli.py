@@ -35,19 +35,8 @@ class ConfigError(Exception):
 
 
 @dataclass
-class JobConfig:
-    cartan: str
-    delta: str
-    j: str
-    command: str
-    w: str | None
-    format: str
-    max_elements: int
-
-
-@dataclass
 class Context:
-    cfg: JobConfig
+    cfg: argparse.Namespace  # the parsed command line
     group: WeylGroup
     delta: DiagramAutomorphism
     tc: TwistedConjugation
@@ -87,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _build_context(cfg: JobConfig) -> Context:
+def _build_context(cfg: argparse.Namespace) -> Context:
     try:
         datum = CartanDatum.from_label(cfg.cartan)
         group = WeylGroup(build_root_system(datum), cfg.max_elements)
@@ -111,10 +100,6 @@ def _build_context(cfg: JobConfig) -> Context:
     return Context(cfg, group, delta, TwistedConjugation(group, delta), J, w)
 
 
-def _subset_list(J) -> list[int]:
-    return sorted(J)
-
-
 def _subset_text(J) -> str:
     return format_subset(J) if J else "-"
 
@@ -134,12 +119,12 @@ def cmd_pieces(ctx: Context) -> str:
         payload = {
             "cartan": ctx.cfg.cartan,
             "delta": ctx.delta.spec,
-            "J": _subset_list(ctx.J),
+            "J": sorted(ctx.J),
             "pieces": [
                 {
                     "word": word_str(r.index_w),
                     "length": r.index_w.length,
-                    "stabilizer": _subset_list(r.stabilizer_set),
+                    "stabilizer": sorted(r.stabilizer_set),
                     "orbit_min": [word_str(v) for v in r.orbit_min],
                     "irreducible": r.irreducible,
                 }
@@ -168,13 +153,13 @@ def _poset_payload(ctx: Context, poset: pieces.ClosurePoset) -> dict:
     return {
         "cartan": ctx.cfg.cartan,
         "delta": ctx.delta.spec,
-        "J": _subset_list(ctx.J),
+        "J": sorted(ctx.J),
         "nodes": [
             {
                 "id": k,
                 "word": word_str(r.index_w),
                 "length": r.index_w.length,
-                "stabilizer": _subset_list(r.stabilizer_set),
+                "stabilizer": sorted(r.stabilizer_set),
                 "irreducible": r.irreducible,
             }
             for k, r in enumerate(poset.records)
@@ -261,7 +246,7 @@ def cmd_orbits(ctx: Context) -> str:
         payload = {
             "cartan": ctx.cfg.cartan,
             "delta": ctx.delta.spec,
-            "J": _subset_list(J),
+            "J": sorted(J),
             "orbits": rows,
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -288,12 +273,12 @@ def cmd_sequence(ctx: Context) -> str:
         payload = {
             "cartan": ctx.cfg.cartan,
             "delta": ctx.delta.spec,
-            "J": _subset_list(ctx.J),
+            "J": sorted(ctx.J),
             "w": word_str(ctx.w),
             "steps": [
-                {"J": _subset_list(Jn), "w": word_str(wn)} for Jn, wn in seq.steps
+                {"J": sorted(Jn), "w": word_str(wn)} for Jn, wn in seq.steps
             ],
-            "stable_J": _subset_list(seq.stable_J),
+            "stable_J": sorted(seq.stable_J),
             "stable_w": word_str(seq.stable_w),
             "label": word_str(label),
         }
@@ -320,7 +305,7 @@ def cmd_closure(ctx: Context) -> str:
         payload = {
             "cartan": ctx.cfg.cartan,
             "delta": ctx.delta.spec,
-            "J": _subset_list(ctx.J),
+            "J": sorted(ctx.J),
             "w": word_str(ctx.w),
             "strata": [word_str(b) for b in strata],
         }
@@ -372,18 +357,9 @@ def cmd_verify(ctx: Context) -> tuple[str, int]:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = JobConfig(
-        cartan=ns.cartan,
-        delta=ns.delta,
-        j=ns.j,
-        command=ns.command,
-        w=ns.w,
-        format=ns.format,
-        max_elements=ns.max_elements,
-    )
     try:
         ctx = _build_context(cfg)
         if cfg.command == "pieces":

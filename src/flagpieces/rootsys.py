@@ -235,10 +235,6 @@ class Root:
     def height(self) -> int:
         return sum(self.coords)
 
-    @property
-    def is_positive(self) -> bool:
-        return self.height > 0
-
     def __neg__(self) -> Root:
         return Root(tuple(-c for c in self.coords))
 

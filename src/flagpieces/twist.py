@@ -8,6 +8,13 @@ stabilizer type of a minimal coset representative, the class decomposition
 of W, the one-step cyclic-shift relation w -> s_d(j) w s_j (when length does
 not grow), its strongly connected components, and strong conjugacy via
 length-additive steps.
+
+Orbits, shift classes and strong-conjugacy classes are three partitions of W,
+and each is the set of connected components of a symmetric relation on
+element indices, found by one walk (`_components`): the twist steps
+y -> s_d(j) y s_j, the length-preserving shift steps, and the length-additive,
+length-preserving twists by elements of W_J. Parts are ordered by smallest
+member and numbered in that order.
 """
 
 from __future__ import annotations
@@ -88,10 +95,6 @@ class DiagramAutomorphism:
         """Image of a subset of simple indices."""
         return frozenset(self.images[j - 1] for j in J)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(len(self.images)))
-
     def __repr__(self) -> str:
         return f"DiagramAutomorphism({self.root_system.datum.label}, {self.spec})"
 
@@ -127,15 +130,37 @@ def stable_support(w: WeylElement, delta: DiagramAutomorphism) -> frozenset[int]
     return frozenset(out)
 
 
+def _components(n: int, neighbours) -> tuple[list[list[int]], list[int]]:
+    """Connected components of a symmetric relation on range(n).
+
+    neighbours(k) lists the indices related to k. Returns the parts, each
+    sorted and ordered by smallest member, and the list giving each index the
+    number of its part.
+    """
+    part_of = [-1] * n
+    parts: list[list[int]] = []
+    for start in range(n):
+        if part_of[start] != -1:
+            continue
+        pid = len(parts)
+        part_of[start] = pid
+        found = [start]
+        for y in found:  # found grows while it is walked
+            for z in neighbours(y):
+                if part_of[z] == -1:
+                    part_of[z] = pid
+                    found.append(z)
+        found.sort()
+        parts.append(found)
+    return parts, part_of
+
+
 @dataclass(frozen=True)
 class TwistedOrbit:
     """One W_J-orbit under x . y = d(x) y x^-1, with its minimal elements."""
 
     members: tuple[WeylElement, ...]
     min_elements: tuple[WeylElement, ...]
-
-    def __contains__(self, w: WeylElement) -> bool:
-        return w in self.members
 
 
 @dataclass(frozen=True)
@@ -174,7 +199,7 @@ class TwistedConjugation:
         self.group = group
         self.delta = delta
         self._delta_cache: list[WeylElement | None] = [None] * group.order
-        self._orbit_cache: dict[frozenset[int], tuple[tuple[TwistedOrbit, ...], dict[int, int]]] = {}
+        self._orbit_cache: dict[frozenset[int], tuple[tuple[TwistedOrbit, ...], list[int]]] = {}
         self._stab_cache: dict[tuple[frozenset[int], int], frozenset[int]] = {}
         self._scc_cache: dict[frozenset[int], tuple[tuple[tuple[WeylElement, ...], ...], list[int]]] = {}
         self._strong_cache: dict[frozenset[int], list[int]] = {}
@@ -201,30 +226,24 @@ class TwistedConjugation:
 
     # -- orbits ---------------------------------------------------------------
 
-    def orbit_partition(self, J) -> tuple[tuple[TwistedOrbit, ...], dict[int, int]]:
-        """All twisted W_J-orbits (ordered by smallest member) and a lookup."""
+    def orbit_partition(self, J) -> tuple[tuple[TwistedOrbit, ...], list[int]]:
+        """All twisted W_J-orbits, ordered by smallest member, and the list
+        giving each element index the position of its orbit.
+
+        The orbits are the connected components of the steps y -> s_d(j) y s_j
+        for j in J; each step is an involution and the steps generate the
+        action.
+        """
         J = frozenset(J)
         cached = self._orbit_cache.get(J)
         if cached is not None:
             return cached
         elems = self.group.elements
         steps = self._twist_steps(J)
-        orbit_of: dict[int, int] = {}
-        orbits: list[TwistedOrbit] = []
-        for start in range(len(elems)):
-            if start in orbit_of:
-                continue
-            oid = len(orbits)
-            orbit_of[start] = oid
-            found = [start]
-            for y in found:  # found grows while it is walked
-                for dl, r in steps:
-                    z = r[dl[y]]
-                    if z not in orbit_of:
-                        orbit_of[z] = oid
-                        found.append(z)
-            found.sort()
-            members = tuple(elems[k] for k in found)
+        parts, orbit_of = _components(len(elems), lambda y: [r[dl[y]] for dl, r in steps])
+        orbits = []
+        for part in parts:
+            members = tuple(elems[k] for k in part)
             low = members[0].length
             mins = tuple(m for m in members if m.length == low)
             orbits.append(TwistedOrbit(members, mins))
@@ -339,7 +358,9 @@ class TwistedConjugation:
         return tuple(g.elements[i] for i in sorted(seen))
 
     def shift_classes(self, J) -> tuple[tuple[WeylElement, ...], ...]:
-        """Mutual-shift classes: strongly connected components of the digraph."""
+        """Mutual-shift classes, ordered by smallest member: the strongly
+        connected components of the shift digraph, found as the connected
+        components of its length-preserving edges."""
         return self._scc(frozenset(J))[0]
 
     def same_shift_class(self, w: WeylElement, w2: WeylElement, J) -> bool:
@@ -350,63 +371,16 @@ class TwistedConjugation:
         cached = self._scc_cache.get(J)
         if cached is not None:
             return cached
-        adj = self._shift_adjacency(J)
-        n = len(adj)
-        # iterative Tarjan
-        comp = [-1] * n
-        low = [0] * n
-        num = [-1] * n
-        counter = 0
-        ncomp = 0
-        stack: list[int] = []
-        on_stack = [False] * n
-        for root in range(n):
-            if num[root] != -1:
-                continue
-            work = [(root, 0)]
-            while work:
-                u, pi = work[-1]
-                if pi == 0:
-                    num[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    on_stack[u] = True
-                recurse = False
-                for k in range(pi, len(adj[u])):
-                    v = adj[u][k]
-                    if num[v] == -1:
-                        work[-1] = (u, k + 1)
-                        work.append((v, 0))
-                        recurse = True
-                        break
-                    if on_stack[v]:
-                        low[u] = min(low[u], num[v])
-                if recurse:
-                    continue
-                if low[u] == num[u]:
-                    while True:
-                        v = stack.pop()
-                        on_stack[v] = False
-                        comp[v] = ncomp
-                        if v == u:
-                            break
-                    ncomp += 1
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[u])
-        groups: dict[int, list[int]] = {}
-        for idx, c in enumerate(comp):
-            groups.setdefault(c, []).append(idx)
-        parts = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-        relabel = {}
-        for newid, part in enumerate(parts):
-            for idx in part:
-                relabel[idx] = newid
-        comp = [relabel[idx] for idx in range(n)]
+        # A shift step by j is an involution, so a length-preserving edge
+        # comes with its reverse, and no cycle can contain a length-dropping
+        # edge: the strongly connected components are the connected
+        # components of the length-preserving edges.
         elems = self.group.elements
-        classes = tuple(tuple(elems[i] for i in part) for part in parts)
-        out = (classes, comp)
+        adj = self._shift_adjacency(J)
+        parts, comp = _components(
+            len(adj), lambda u: [v for v in adj[u] if elems[v].length == elems[u].length]
+        )
+        out = (tuple(tuple(elems[i] for i in part) for part in parts), comp)
         self._scc_cache[J] = out
         return out
 
@@ -416,22 +390,16 @@ class TwistedConjugation:
         cached = self._strong_cache.get(J)
         if cached is not None:
             return cached
+        # The relation is symmetric: twisting z = d(x) w x^-1 by x^-1 gives
+        # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
+        # length additivity over to the reverse step.
         g = self.group
-        parent = list(range(g.order))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
+        elems = g.elements
         xs = [(x, self.delta_apply(x), x.inverse()) for x in g.parabolic_elements(J)]
-        for w in g.elements:
+
+        def twists(k: int) -> list[int]:
+            w = elems[k]
+            out = []
             for x, dx, xi in xs:
                 left = dx * w
                 if left.length != x.length + w.length:
@@ -442,8 +410,10 @@ class TwistedConjugation:
                 else:
                     z = left * xi
                 if z.length == w.length:
-                    union(w.index, z.index)
-        comp = [find(i) for i in range(g.order)]
+                    out.append(z.index)
+            return out
+
+        comp = _components(g.order, twists)[1]
         self._strong_cache[J] = comp
         return comp
 

@@ -76,9 +76,6 @@ class WeylElement:
             r = table[i - 1][r]
         return r
 
-    def is_identity(self) -> bool:
-        return self.length == 0
-
     def __hash__(self) -> int:
         return self.index
 

@@ -332,3 +332,83 @@ def test_support_is_bruhat_support(group_of, label):
     for w in g.elements:
         below = {i for i in g.simple_indices if g.bruhat_leq(g.simple_reflection(i), w)}
         assert fp.support(w) == below
+
+
+SCOPE_CONFIGS = [(label, spec) for label, specs in SCOPE for spec in specs]
+
+
+def _first_seen_labels(labels) -> list[int]:
+    """Relabel a partition given as one label per index by order of first
+    occurrence, so that two labelings of the same partition compare equal."""
+    ids: dict[int, int] = {}
+    return [ids.setdefault(c, len(ids)) for c in labels]
+
+
+@pytest.mark.parametrize("label,spec", SCOPE_CONFIGS)
+def test_shift_classes_are_mutual_reachability(tc_of, label, spec):
+    tc = tc_of(label, spec)
+    g = tc.group
+    for J in subsets_of(g.simple_indices):
+        reach = [{v.index for v in tc.shift_reachable(w, J)} for w in g.elements]
+        expected = []
+        for k in range(g.order):
+            cls = tuple(sorted(v for v in reach[k] if k in reach[v]))
+            if cls[0] == k:
+                expected.append(cls)
+        classes = tc.shift_classes(J)
+        assert [tuple(e.index for e in cls) for cls in classes] == expected
+        comp = tc._scc(J)[1]
+        for cid, cls in enumerate(classes):
+            assert all(comp[e.index] == cid for e in cls)
+
+
+def _union_find_strong_classes(tc, J) -> list[int]:
+    """Strong-conjugacy classes by union-find over every length-additive,
+    length-preserving twist, one root label per element index."""
+    g = tc.group
+    parent = list(range(g.order))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    xs = [(x, tc.delta_apply(x), x.inverse()) for x in g.parabolic_elements(J)]
+    for w in g.elements:
+        for x, dx, xi in xs:
+            left = dx * w
+            if left.length != x.length + w.length:
+                right = w * xi
+                if right.length != x.length + w.length:
+                    continue
+                z = dx * right
+            else:
+                z = left * xi
+            if z.length == w.length:
+                ri, rj = find(w.index), find(z.index)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(g.order)]
+
+
+@pytest.mark.parametrize("label,spec", SCOPE_CONFIGS)
+def test_strong_classes_match_union_find(tc_of, label, spec):
+    tc = tc_of(label, spec)
+    for J in subsets_of(tc.group.simple_indices):
+        expected = _first_seen_labels(_union_find_strong_classes(tc, J))
+        assert _first_seen_labels(tc._strong_components(J)) == expected
+
+
+@pytest.mark.parametrize("label,spec", SCOPE_CONFIGS)
+def test_orbit_lookup_is_orbit_position(tc_of, label, spec):
+    tc = tc_of(label, spec)
+    g = tc.group
+    for J in subsets_of(g.simple_indices):
+        orbits, orbit_of = tc.orbit_partition(J)
+        assert len(orbit_of) == g.order
+        for pos, orbit in enumerate(orbits):
+            assert list(orbit.members) == sorted(orbit.members, key=lambda e: e.index)
+            for m in orbit.members:
+                assert orbit_of[m.index] == pos
+        assert [o.members[0].index for o in orbits] == sorted(o.members[0].index for o in orbits)
