@@ -3,9 +3,13 @@
 Everything here chases definitions with explicit quantifiers: subword scans
 for the Bruhat order, all-subsets scans for stabilizer types, recursive
 enumeration of stabilizing sequences, and the twisted order unrolled over
-full minimal-orbit sets. The checks compare these against the fast paths and
-return OracleReport records; they are shipped in the library so the CLI
-verify command can run them in the field.
+full minimal-orbit sets. The literal sets (twisted orbits, classes, cosets
+and double cosets) are built element by element as sets of element indices:
+each product walks a reduced word through the group's left or right table
+from an index (`_walk`), so no element object is made per product; the
+quantifiers over those sets are unchanged. The checks compare these against
+the fast paths and return OracleReport records; they are shipped in the
+library so the CLI verify command can run them in the field.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 from . import pieces as pieces_mod
 from .pieces import (
     TwistedSequence,
+    _bits,
     parabolic_restriction_type,
     sequence_for,
     sequence_root_inclusions,
@@ -61,6 +66,25 @@ class OracleReport:
         if not self.passed:
             line += f", {self.failure_count} failures"
         return line + ")"
+
+
+def _walk(table, x: int, letters) -> int:
+    """Index reached from element index x by applying the letters in order:
+    through g._rmul that is x s_a1 ... s_ak, through g._lmul s_ak ... s_a1 x.
+    So w y is _walk(g._rmul, w, y.word) and y w is
+    _walk(g._lmul, w, reversed(y.word))."""
+    for i in letters:
+        x = table[i][x]
+    return x
+
+
+def _twist_words(tc: TwistedConjugation, J) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per x in W_J, the letters that walk y to d(x) y x^-1: those of d(x),
+    reversed, through g._lmul, then those of x^-1 through g._rmul."""
+    return [
+        (tuple(reversed(tc.delta_apply(x).word)), x.inverse().word)
+        for x in tc.group.parabolic_elements(J)
+    ]
 
 
 def subsets_of(indices) -> list[frozenset[int]]:
@@ -145,6 +169,7 @@ def enumerate_stabilizing_sequences(tc: TwistedConjugation, J) -> list[TwistedSe
     complete once the next pair would repeat the current one.
     """
     g, delta = tc.group, tc.delta
+    elems, lmul, rmul = g.elements, g._lmul, g._rmul
     J = frozenset(J)
     out: list[TwistedSequence] = []
 
@@ -155,19 +180,14 @@ def enumerate_stabilizing_sequences(tc: TwistedConjugation, J) -> list[TwistedSe
         Jn1 = Jn & simple_image_subset(wn, delta.subset(Jn))
         dJn = delta.subset(Jn)
         dJn1 = delta.subset(Jn1)
-        coset = {
-            a * wn * b
-            for a in g.parabolic_elements(Jn1)
-            for b in g.parabolic_elements(dJn)
-        }
-        cands = sorted(
-            (
-                x
-                for x in coset
-                if g.is_min_right_rep(x, Jn1) and g.is_min_left_rep(x, dJn1)
-            ),
-            key=lambda e: e.index,
-        )
+        # the double coset W_Jn1 wn W_d(Jn): a wn for every a, then times every b
+        lefts = {_walk(lmul, wn.index, reversed(a.word)) for a in g.parabolic_elements(Jn1)}
+        coset = {_walk(rmul, y, b.word) for y in lefts for b in g.parabolic_elements(dJn)}
+        cands = [
+            elems[x]
+            for x in sorted(coset)
+            if g.is_min_right_rep(elems[x], Jn1) and g.is_min_left_rep(elems[x], dJn1)
+        ]
         for w1 in cands:
             if (Jn1, w1) == (Jn, wn):
                 out.append(TwistedSequence(tuple(steps), Jn, wn))
@@ -188,28 +208,40 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
     Returns (reps, matrix) with matrix[a][b] = (reps[a] <= reps[b]). Orbits
     and their minimal sets are recomputed as one literal pass over W_J, and
     the some/any forms of the definition are both evaluated and compared.
+    "Some minimal v of the orbit of w lies below v'" is bit v' of the OR of
+    the Bruhat up-sets of those v.
     """
     g = tc.group
     J = frozenset(J)
+    lmul, rmul, reach = g._lmul, g._rmul, g._bruhat_up_reach
+    length = [e.length for e in g.elements]
     reps = g.min_coset_reps(J, "right")
-    wj = g.parabolic_elements(J)
-    mins: dict[WeylElement, list[WeylElement]] = {}
+    twists = _twist_words(tc, J)
+    # the minima of every orbit, laid end to end; spans[b] delimits those of reps[b]
+    flat: list[int] = []
+    spans: list[tuple[int, int]] = []
     for w in reps:
-        orb = {tc.delta_apply(x) * w * x.inverse() for x in wj}
-        low = min(e.length for e in orb)
-        mins[w] = [e for e in sorted(orb, key=lambda e: e.index) if e.length == low]
+        orb = {_walk(rmul, _walk(lmul, w.index, dx), xi) for dx, xi in twists}
+        low = min(length[e] for e in orb)
+        start = len(flat)
+        flat.extend(e for e in sorted(orb) if length[e] == low)
+        spans.append((start, len(flat)))
     matrix = []
-    for w in reps:
-        row = []
-        for w2 in reps:
-            per_vp = [
-                any(g.bruhat_leq(v, vp) for v in mins[w]) for vp in mins[w2]
-            ]
-            if any(per_vp) != all(per_vp):
-                raise AssertionError(
-                    f"some/any disagree for w={w!r}, w2={w2!r}, J={sorted(J)}"
-                )
-            row.append(all(per_vp))
+    for w, (start, end) in zip(reps, spans):
+        up = 0
+        for v in flat[start:end]:
+            up |= reach[v]
+        # prefix counts of the minima vp with some v <= vp; per reps[b], the
+        # count over its minima decides "some vp" (> 0) and "every vp" (= size)
+        below = list(itertools.accumulate([(up >> vp) & 1 for vp in flat], initial=0))
+        count = [below[b] - below[a] for a, b in spans]
+        some = [c > 0 for c in count]
+        row = [c == b - a for c, (a, b) in zip(count, spans)]
+        if some != row:
+            w2 = next(w2 for w2, s, a in zip(reps, some, row) if s != a)
+            raise AssertionError(
+                f"some/any disagree for w={w!r}, w2={w2!r}, J={sorted(J)}"
+            )
         matrix.append(row)
     return reps, matrix
 
@@ -337,30 +369,46 @@ def check_coset_minimality(group: WeylGroup) -> OracleReport:
     """min_coset_rep lands in the coset, is its unique shortest element, and
     splits the length additively."""
     rep = OracleReport("coset-minimality")
+    length = [e.length for e in group.elements]
+    inv = group._inverse_index
+    # per side, the walk that multiplies an index by y: on the right (w y)
+    # through _rmul, on the left (y w) through _lmul with y's word reversed
+    sides = (
+        ("right", group._rmul, lambda y: y.word),
+        ("left", group._lmul, lambda y: reversed(y.word)),
+    )
     for J in subsets_of(group.simple_indices):
         wj = group.parabolic_elements(J)
+        # each coset is built once, literally, and shared by its members:
+        # per side, coset_of[w] is (the coset of w, its minimal-length elements)
+        coset_of = {side: [None] * group.order for side, _, _ in sides}
         for w in group.elements:
-            for side in ("right", "left"):
+            for side, table, letters in sides:
                 rep.instances_checked += 1
                 r = group.min_coset_rep(w, J, side)
-                coset = {w * x for x in wj} if side == "right" else {x * w for x in wj}
-                if r not in coset:
+                found = coset_of[side]
+                if found[w.index] is None:
+                    coset = {_walk(table, w.index, letters(x)) for x in wj}
+                    low = min(length[e] for e in coset)
+                    entry = (coset, [e for e in coset if length[e] == low])
+                    for e in coset:
+                        found[e] = entry
+                coset, mins = found[w.index]
+                if r.index not in coset:
                     rep.record(f"J={sorted(J)} side={side} w={word_str(w)}", "rep in coset", "outside")
                     continue
-                low = min(e.length for e in coset)
-                mins = [e for e in coset if e.length == low]
-                if len(mins) != 1 or mins[0] != r:
+                if len(mins) != 1 or mins[0] != r.index:
                     rep.record(
                         f"J={sorted(J)} side={side} w={word_str(w)}",
                         "unique minimum = rep",
                         f"{len(mins)} minima",
                     )
-                rest = r.inverse() * w if side == "right" else w * r.inverse()
-                if w.length != r.length + rest.length:
+                rest = _walk(table, inv[r.index], letters(w))  # r^-1 w, or w r^-1 on the left
+                if w.length != r.length + length[rest]:
                     rep.record(
                         f"J={sorted(J)} side={side} w={word_str(w)}",
                         "l(w) = l(rep) + l(rest)",
-                        f"{w.length} != {r.length} + {rest.length}",
+                        f"{w.length} != {r.length} + {length[rest]}",
                     )
     return rep
 
@@ -387,6 +435,7 @@ def check_parabolic_restriction(group: WeylGroup) -> OracleReport:
     rep = OracleReport("parabolic-restriction")
     rs = group.root_system
     all_subsets = subsets_of(group.simple_indices)
+    images: dict[tuple[frozenset[int], int], frozenset[int]] = {}  # (K, w1) -> w1(Phi_K)
     for J in all_subsets:
         phi_j = rs.parabolic_root_indices(J)
         for K in all_subsets:
@@ -395,7 +444,9 @@ def check_parabolic_restriction(group: WeylGroup) -> OracleReport:
                 rep.instances_checked += 1
                 j1 = parabolic_restriction_type(group, J, K, w)
                 w1 = group.min_coset_rep(w, K, "right")
-                image = frozenset(w1.root_image(r) for r in phi_k)
+                image = images.get((K, w1.index))
+                if image is None:
+                    image = images[K, w1.index] = frozenset(w1.root_image(r) for r in phi_k)
                 if rs.parabolic_root_indices(j1) != phi_j & image:
                     rep.record(
                         f"J={sorted(J)} K={sorted(K)} w={word_str(w)}",
@@ -420,25 +471,26 @@ def check_class_partition(tc: TwistedConjugation, J) -> OracleReport:
     """Classes tile the group and match their literal double-loop recomputation."""
     rep = OracleReport("class-partition")
     g = tc.group
+    lmul, rmul = g._lmul, g._rmul
     classes = tc.class_decomposition(frozenset(J), verify=True)
-    seen: set[WeylElement] = set()
+    twists = _twist_words(tc, J)
+    seen: set[int] = set()
     for cls in classes:
         rep.instances_checked += 1
-        wj = g.parabolic_elements(frozenset(J))
         wk = g.parabolic_elements(cls.stabilizer_set)
-        literal = {
-            tc.delta_apply(x) * (cls.base * v) * x.inverse() for x in wj for v in wk
-        }
-        if literal != set(cls.members):
+        bases = [_walk(rmul, cls.base.index, v.word) for v in wk]  # base v
+        literal = {_walk(rmul, _walk(lmul, y, dx), xi) for dx, xi in twists for y in bases}
+        members = {m.index for m in cls.members}
+        if literal != members:
             rep.record(
                 f"J={sorted(J)} base={word_str(cls.base)}",
                 f"{len(literal)} members (literal)",
                 f"{len(cls.members)} members",
             )
-        overlap = seen & set(cls.members)
+        overlap = seen & members
         if overlap:
             rep.record(f"J={sorted(J)} base={word_str(cls.base)}", "disjoint", f"{len(overlap)} shared")
-        seen |= set(cls.members)
+        seen |= members
     if len(seen) != g.order:
         rep.record(f"J={sorted(J)}", f"{g.order} elements covered", len(seen))
     return rep
@@ -568,28 +620,33 @@ def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
     reps, matrix = closure_matrix_oracle(tc, J)
     pos = {w: k for k, w in enumerate(reps)}
     poset = pieces_mod.closure_poset(tc, J)
-    for ia, ra in enumerate(poset.records):
-        for ib, rb in enumerate(poset.records):
-            rep.instances_checked += 1
-            expected = matrix[pos[ra.inv_w]][pos[rb.inv_w]]
-            got = poset.leq(ia, ib)
-            if expected != got:
-                rep.record(
-                    f"J={sorted(J)} {word_str(ra.index_w)} <= {word_str(rb.index_w)}",
-                    expected,
-                    got,
-                )
+    records = poset.records
+    n = len(records)
+    bit = [1 << ib for ib in range(n)]
+    words = [word_str(r.index_w) for r in records]
+
+    def compare_row(ia: int, flags, describe) -> None:
+        # the row is compared whole: one failure per bit where the expected
+        # row (bit ib set iff flags[ib]) and the poset row differ
+        rep.instances_checked += n
+        expected = sum(itertools.compress(bit, flags))
+        for ib in _bits(expected ^ poset.leq_rows[ia]):
+            rep.record(describe(ib), (expected >> ib) & 1 == 1, poset.leq(ia, ib))
+
+    cols = [pos[r.inv_w] for r in records]
+    for ia, ra in enumerate(records):
+        row = matrix[pos[ra.inv_w]]
+        compare_row(
+            ia, [row[c] for c in cols], lambda ib: f"J={sorted(J)} {words[ia]} <= {words[ib]}"
+        )
     if not J:
-        for ia, ra in enumerate(poset.records):
-            for ib, rb in enumerate(poset.records):
-                rep.instances_checked += 1
-                expected = g.bruhat_leq(ra.index_w, rb.index_w)
-                if poset.leq(ia, ib) != expected:
-                    rep.record(
-                        f"Bruhat at {word_str(ra.index_w)}, {word_str(rb.index_w)}",
-                        expected,
-                        poset.leq(ia, ib),
-                    )
+        reach = g._bruhat_up_reach
+        idx = [r.index_w.index for r in records]
+        for ia, u in enumerate(idx):
+            up = reach[u]
+            compare_row(
+                ia, [(up >> v) & 1 for v in idx], lambda ib: f"Bruhat at {words[ia]}, {words[ib]}"
+            )
     return rep
 
 

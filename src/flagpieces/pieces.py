@@ -266,14 +266,13 @@ def closure_poset(tc: TwistedConjugation, J, verify: bool = False) -> ClosurePos
 
 
 def _check_partial_order(rows: list[int]) -> None:
-    n = len(rows)
-    for a in range(n):
-        if not (rows[a] >> a) & 1:
+    for a, row in enumerate(rows):
+        if not (row >> a) & 1:
             raise AssertionError(f"closure relation is not reflexive at node {a}")
-        for b in range(n):
-            if a != b and (rows[a] >> b) & 1 and (rows[b] >> a) & 1:
+        for b in _bits(row):  # every b with a <= b
+            if a != b and (rows[b] >> a) & 1:
                 raise AssertionError(f"closure relation is not antisymmetric at {a}, {b}")
-            if (rows[a] >> b) & 1 and (rows[b] | rows[a]) != rows[a]:
+            if rows[b] | row != row:
                 raise AssertionError(f"closure relation is not transitive at {a}, {b}")
 
 

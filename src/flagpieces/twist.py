@@ -202,6 +202,7 @@ class TwistedConjugation:
         self._orbit_cache: dict[frozenset[int], tuple[tuple[TwistedOrbit, ...], list[int]]] = {}
         self._stab_cache: dict[tuple[frozenset[int], int], frozenset[int]] = {}
         self._scc_cache: dict[frozenset[int], tuple[tuple[tuple[WeylElement, ...], ...], list[int]]] = {}
+        self._adj_cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
         self._strong_cache: dict[frozenset[int], list[int]] = {}
         self._dist_cache: dict[frozenset[int], dict[int, tuple[WeylElement, WeylElement] | None]] = {}
 
@@ -335,18 +336,24 @@ class TwistedConjugation:
         return z if z.length <= w.length else None
 
     def _shift_adjacency(self, J) -> list[tuple[int, ...]]:
+        """Per element index, the shift steps that do not raise length."""
+        J = frozenset(J)
+        cached = self._adj_cache.get(J)
+        if cached is not None:
+            return cached
         elems = self.group.elements
         steps = self._twist_steps(J)
         adj: list[tuple[int, ...]] = []
         for w in elems:
             targets = {r[dl[w.index]] for dl, r in steps}
             adj.append(tuple(sorted(z for z in targets if elems[z].length <= w.length)))
+        self._adj_cache[J] = adj
         return adj
 
     def shift_reachable(self, w: WeylElement, J) -> tuple[WeylElement, ...]:
         """All w' with w ->_{J,d} w' (reflexive-transitive shift closure)."""
         g = self.group
-        adj = self._shift_adjacency(frozenset(J))
+        adj = self._shift_adjacency(J)
         seen = {w.index}
         stack = [w.index]
         while stack:
@@ -393,24 +400,36 @@ class TwistedConjugation:
         # The relation is symmetric: twisting z = d(x) w x^-1 by x^-1 gives
         # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
         # length additivity over to the reverse step.
+        # Products walk element indices: d(x) on the left through _lmul (its
+        # word reversed), x^-1 on the right through _rmul.
         g = self.group
-        elems = g.elements
-        xs = [(x, self.delta_apply(x), x.inverse()) for x in g.parabolic_elements(J)]
+        lmul, rmul = g._lmul, g._rmul
+        length = [e.length for e in g.elements]
+        xs = [
+            (x.length, tuple(reversed(self.delta_apply(x).word)), x.inverse().word)
+            for x in g.parabolic_elements(J)
+        ]
 
         def twists(k: int) -> list[int]:
-            w = elems[k]
+            lw = length[k]
             out = []
-            for x, dx, xi in xs:
-                left = dx * w
-                if left.length != x.length + w.length:
-                    right = w * xi
-                    if right.length != x.length + w.length:
-                        continue
-                    z = dx * right
+            for lx, dx, xi in xs:
+                z = k
+                for i in dx:
+                    z = lmul[i][z]
+                if length[z] == lx + lw:  # d(x) w is length-additive
+                    for i in xi:
+                        z = rmul[i][z]
                 else:
-                    z = left * xi
-                if z.length == w.length:
-                    out.append(z.index)
+                    z = k
+                    for i in xi:
+                        z = rmul[i][z]
+                    if length[z] != lx + lw:  # neither is
+                        continue
+                    for i in dx:
+                        z = lmul[i][z]
+                if length[z] == lw:
+                    out.append(z)
             return out
 
         comp = _components(g.order, twists)[1]

@@ -1,10 +1,16 @@
+import dataclasses
+import random
+
 import pytest
 
-from flagpieces import oracle
+import flagpieces as fp
+from flagpieces import oracle, pieces, word_str
 from flagpieces.oracle import (
     OracleReport,
     bruhat_lower_set_oracle,
     bruhat_oracle,
+    check_closure_agreement,
+    check_coset_minimality,
     closure_matrix_oracle,
     enumerate_stabilizing_sequences,
     irreducible_oracle,
@@ -14,6 +20,7 @@ from flagpieces.oracle import (
 )
 from flagpieces.rootsys import CartanDatum
 from flagpieces.twist import DiagramAutomorphism
+from flagpieces.weyl import WeylGroup
 
 
 def test_report_passed_iff_no_failures():
@@ -135,3 +142,81 @@ def test_irreducible_oracle_identity_reducible(tc_of):
 def test_subsets_of_order():
     subs = subsets_of({1, 2})
     assert subs == [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})]
+
+
+@pytest.mark.parametrize("J,k", [((1,), 11), ((), 11), ((), 3)])
+def test_closure_agreement_counts_every_flipped_bit(tc_of, monkeypatch, J, k):
+    # flip k cells of the poset the check compares against; at J = {} the
+    # Bruhat half sees each flipped cell too
+    tc = tc_of("A3", "flip")
+    real = pieces.closure_poset(tc, J)
+    n = len(real.records)
+    flips = sorted(random.Random(17).sample([(a, b) for a in range(n) for b in range(n)], k))
+    rows = list(real.leq_rows)
+    for a, b in flips:
+        rows[a] ^= 1 << b
+    broken = dataclasses.replace(real, leq_rows=tuple(rows))
+    monkeypatch.setattr(pieces, "closure_poset", lambda tc_, J_, verify=False: broken)
+
+    rep = check_closure_agreement(tc, J)
+
+    words = [word_str(r.index_w) for r in real.records]
+    expected = [
+        (f"J={sorted(J)} {words[a]} <= {words[b]}", str(real.leq(a, b)), str(not real.leq(a, b)))
+        for a, b in flips
+    ]
+    if not J:
+        expected += [
+            (f"Bruhat at {words[a]}, {words[b]}", str(real.leq(a, b)), str(not real.leq(a, b)))
+            for a, b in flips
+        ]
+    assert rep.failure_count == len(expected)
+    assert rep.failures == expected[:8]
+    assert rep.instances_checked == n * n * (1 if J else 2)
+
+
+def test_closure_agreement_makes_no_bruhat_leq_calls(tc_of, monkeypatch):
+    def refuse(self, u, v):
+        raise AssertionError("bruhat_leq called")
+
+    monkeypatch.setattr(WeylGroup, "bruhat_leq", refuse)
+    for label, spec in (("A3", "flip"), ("B3", "id")):
+        tc = tc_of(label, spec)
+        for J in subsets_of(tc.group.simple_indices):
+            closure_matrix_oracle(tc, J)
+            assert check_closure_agreement(tc, J).passed
+
+
+@pytest.mark.parametrize(
+    "planted,message", [("w", "unique minimum = rep"), ("outside", "rep in coset")]
+)
+def test_coset_minimality_counts_one_wrong_rep(monkeypatch, planted, message):
+    # a fresh group, so that the planted method cannot leak into other tests
+    g = fp.weyl_group("A3")
+    J, w = frozenset({1, 2}), g.from_word([2, 1, 3])  # w is not minimal in W_J w
+    wrong = w if planted == "w" else g.from_word([1])  # W_J w = W_J s3 does not hold s1
+    real = g.min_coset_rep
+
+    def planted_rep(u, subset, side="right"):
+        if (frozenset(subset), side, u) == (J, "left", w):
+            return wrong
+        return real(u, subset, side)
+
+    monkeypatch.setattr(g, "min_coset_rep", planted_rep)
+    rep = check_coset_minimality(g)
+    assert rep.failure_count == 1
+    assert rep.failures[0][0] == "J=[1, 2] side=left w=2,1,3"
+    assert rep.failures[0][1] == message
+
+
+def test_closure_matrix_oracle_rejects_some_any_disagreement():
+    # a fresh A2 group whose up-set of e misses s2: the orbit of s2 under the
+    # flip-twisted W_{1} has the minima s1 and s2, so e lies below some of
+    # them but not all
+    g = fp.weyl_group("A2")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    reach = list(g._bruhat_up_reach)
+    reach[0] &= ~(1 << g.simple_reflection(2).index)
+    g.__dict__["_bruhat_up_reach"] = tuple(reach)
+    with pytest.raises(AssertionError, match=r"some/any disagree for w=W\[e\], w2=W\[2\], J=\[1\]"):
+        closure_matrix_oracle(tc, {1})

@@ -1,8 +1,9 @@
 """Seeded differential tests past the exhaustive acceptance scope.
 
 Hypothesis samples (type, delta, J) from F4, D5 and B5, keeping J with at
-most 200 pieces, and runs the order-axiom and closure-agreement oracles on
-each sample. The run is derandomized and keeps no example database.
+most 200 pieces, and runs the order-axiom, closure-agreement, class-partition
+and strong-conjugacy oracles on each sample. The run is derandomized and
+keeps no example database.
 """
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from flagpieces.oracle import (  # noqa: E402
+    check_class_partition,
     check_closure_agreement,
     check_order_axioms,
+    check_strong_conjugacy,
     subsets_of,
 )
 
@@ -36,3 +39,7 @@ def test_sampled_closure_poset_agrees_with_oracles(tc_of, config, data):
     assert order.passed, order.failures
     closure = check_closure_agreement(tc, J)
     assert closure.passed, closure.failures
+    classes = check_class_partition(tc, J)
+    assert classes.passed, classes.failures
+    strong = check_strong_conjugacy(tc, J)
+    assert strong.passed, strong.failures

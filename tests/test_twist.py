@@ -412,3 +412,24 @@ def test_orbit_lookup_is_orbit_position(tc_of, label, spec):
             for m in orbit.members:
                 assert orbit_of[m.index] == pos
         assert [o.members[0].index for o in orbits] == sorted(o.members[0].index for o in orbits)
+
+
+def test_shift_adjacency_is_built_once_per_subset(group_of, monkeypatch):
+    g = group_of("D4")
+    tc = fp.TwistedConjugation(g, _delta(g, "tri"))
+    builds = []
+    real = tc._twist_steps
+
+    def counting(J):
+        builds.append(frozenset(J))
+        return real(J)
+
+    monkeypatch.setattr(tc, "_twist_steps", counting)
+    J = frozenset({1, 2, 3})
+    for w in g.elements:
+        tc.shift_reachable(w, J)
+    tc.shift_classes(J)
+    tc.same_shift_class(g.identity, g.longest_element, [3, 2, 1])
+    assert builds == [J]
+    tc.shift_reachable(g.identity, {2})
+    assert builds == [J, frozenset({2})]
