@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .twist import TwistedConjugation, stable_support
+from .twist import TwistedConjugation, simple_image, stable_support
 from .weyl import WeylElement, WeylGroup
 
 
@@ -25,15 +25,7 @@ class CriterionNotApplicable(ValueError):
 
 def simple_image_subset(w: WeylElement, subset) -> frozenset[int]:
     """{j : w(alpha_k) = alpha_j for some k in subset}; non-simple images dropped."""
-    rs = w.group.root_system
-    out = set()
-    for k in subset:
-        r = w.root_image(rs.simple_root_index(k))
-        if rs.is_positive_index(r):
-            coords = rs.roots[r].coords
-            if sum(coords) == 1:
-                out.add(coords.index(1) + 1)
-    return frozenset(out)
+    return frozenset(simple_image(w, k) for k in subset) - {None}
 
 
 @dataclass(frozen=True)
@@ -126,15 +118,14 @@ def sequence_to_label(tc: TwistedConjugation, seq: TwistedSequence) -> WeylEleme
     return seq.stable_w.inverse()
 
 
-def twisted_leq(
-    tc: TwistedConjugation, J, w: WeylElement, w2: WeylElement, verify: bool = False
-) -> bool:
+def twisted_leq(tc: TwistedConjugation, J, w: WeylElement, w2: WeylElement) -> bool:
     """The twisted partial order on W^J, extended to arbitrary right arguments.
 
     For w2 in W^J: true iff for some (equivalently any) v' minimal in the
-    twisted orbit of w2 there is a v minimal in the orbit of w with v <= v'.
-    For general w2: true iff some such v satisfies v <= w2 directly. With
-    verify=True the independence from the choice of v' is asserted.
+    twisted orbit of w2 there is a v minimal in the orbit of w with v <= v';
+    v' is the first minimal element of that orbit. For general w2: true iff
+    some such v satisfies v <= w2 directly. `oracle.check_order_axioms`
+    checks that the choice of v' does not matter.
     """
     g = tc.group
     J = frozenset(J)
@@ -143,17 +134,8 @@ def twisted_leq(
     if not g.is_min_left_rep(w, J):
         raise ValueError(f"w = {w!r} is not a minimal coset representative for J={sorted(J)}")
     up = _up_mask(g, tc.orbit_min(w, J))
-    if g.is_min_left_rep(w2, J):
-        target = _target_mask(tc.orbit_min(w2, J), verify)
-    else:
-        target = 1 << w2.index
-    hit = up & target
-    if hit and hit != target:
-        raise AssertionError(
-            f"twisted order not independent of the representative for "
-            f"w={w!r}, w2={w2!r}, J={sorted(J)}"
-        )
-    return hit == target
+    target = tc.orbit_min(w2, J)[0] if g.is_min_left_rep(w2, J) else w2
+    return (up >> target.index) & 1 == 1
 
 
 def _up_mask(g: WeylGroup, mins) -> int:
@@ -163,13 +145,6 @@ def _up_mask(g: WeylGroup, mins) -> int:
     for v in mins:
         up |= reach[v.index]
     return up
-
-
-def _target_mask(mins, verify: bool) -> int:
-    """The bits an up mask is tested at: the first of mins, or all of them when
-    verifying. A mask that holds only some of them makes the twisted order
-    depend on the representative."""
-    return sum(1 << v.index for v in (mins if verify else mins[:1]))
 
 
 def _bits(mask: int):
@@ -225,36 +200,28 @@ def piece_records(tc: TwistedConjugation, J) -> tuple[PieceRecord, ...]:
     return tuple(out)
 
 
-def closure_poset(tc: TwistedConjugation, J, verify: bool = False) -> ClosurePoset:
+def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
     """Closure order on pieces: a below b iff a^-1 twisted-below b^-1.
 
     Row a is read off one mask: up, the OR of the Bruhat up-sets of the
     minimal elements of the orbit of a^-1. Bit b of the row is the bit of up
-    at the first minimal element of the orbit of b^-1; with verify=True every
-    minimal element of that orbit must give the same bit, and the rows must
-    form a partial order. The covers of a are the b above a that lie above no
-    other c strictly above a: above(a) minus the OR of the rows of those c.
+    at the first minimal element of the orbit of b^-1; `oracle.check_order_axioms`
+    checks that every minimal element of that orbit gives the same bit and that
+    the rows form a partial order. The covers of a are the b above a that lie
+    above no other c strictly above a: above(a) minus the OR of the rows of
+    those c. Memoized per J on tc, like its orbit partitions.
     """
-    g = tc.group
     J = frozenset(J)
+    cached = tc._poset_cache.get(J)
+    if cached is not None:
+        return cached
+    g = tc.group
     records = piece_records(tc, J)
-    targets = [_target_mask(rec.orbit_min, verify) for rec in records]
+    targets = [1 << rec.orbit_min[0].index for rec in records]
     rows = []
-    for ia, rec in enumerate(records):
+    for rec in records:
         up = _up_mask(g, rec.orbit_min)
-        mask = 0
-        for ib, target in enumerate(targets):
-            hit = up & target
-            if hit == target:
-                mask |= 1 << ib
-            elif hit:
-                raise AssertionError(
-                    f"twisted order not independent of the representative at "
-                    f"nodes {ia}, {ib} for J={sorted(J)}"
-                )
-        rows.append(mask)
-    if verify:
-        _check_partial_order(rows)
+        rows.append(sum(1 << ib for ib, target in enumerate(targets) if up & target))
     hasse = []  # a and then b ascend, so the edges come out sorted
     for a, row in enumerate(rows):
         above = row & ~(1 << a)
@@ -262,18 +229,8 @@ def closure_poset(tc: TwistedConjugation, J, verify: bool = False) -> ClosurePos
         for c in _bits(above):
             through |= rows[c] & ~(1 << c)
         hasse.extend((a, b) for b in _bits(above & ~through))
-    return ClosurePoset(J, records, tuple(rows), tuple(hasse))
-
-
-def _check_partial_order(rows: list[int]) -> None:
-    for a, row in enumerate(rows):
-        if not (row >> a) & 1:
-            raise AssertionError(f"closure relation is not reflexive at node {a}")
-        for b in _bits(row):  # every b with a <= b
-            if a != b and (rows[b] >> a) & 1:
-                raise AssertionError(f"closure relation is not antisymmetric at {a}, {b}")
-            if rows[b] | row != row:
-                raise AssertionError(f"closure relation is not transitive at {a}, {b}")
+    poset = tc._poset_cache[J] = ClosurePoset(J, records, tuple(rows), tuple(hasse))
+    return poset
 
 
 def piece_closure(tc: TwistedConjugation, J, w: WeylElement) -> tuple[WeylElement, ...]:
@@ -304,29 +261,17 @@ def is_irreducible(tc: TwistedConjugation, J, w: WeylElement) -> bool:
     return stable_support(w, tc.delta) == full
 
 
-def parabolic_restriction_type(
-    group: WeylGroup, J, K, w: WeylElement, verify: bool = False
-) -> frozenset[int]:
+def parabolic_restriction_type(group: WeylGroup, J, K, w: WeylElement) -> frozenset[int]:
     """The type J1 = J intersect Ad(w1)K with w1 = min(w W_K), for w in ^JW.
 
-    With verify=True the root-level identity Phi_J1 = Phi_J intersect w1(Phi_K)
-    is asserted.
+    `oracle.check_parabolic_restriction` checks the root-level identity
+    Phi_J1 = Phi_J intersect w1(Phi_K).
     """
     J, K = frozenset(J), frozenset(K)
     if not group.is_min_right_rep(w, J):
         raise ValueError(f"w = {w!r} is not in ^JW for J={sorted(J)}")
     w1 = group.min_coset_rep(w, K, "right")
-    J1 = J & simple_image_subset(w1, K)
-    if verify:
-        rs = group.root_system
-        phi_j1 = rs.parabolic_root_indices(J1)
-        phi_j = rs.parabolic_root_indices(J)
-        image = frozenset(w1.root_image(r) for r in rs.parabolic_root_indices(K))
-        if phi_j1 != phi_j & image:
-            raise AssertionError(
-                f"Levi root identity fails for J={sorted(J)}, K={sorted(K)}, w={w!r}"
-            )
-    return J1
+    return J & simple_image_subset(w1, K)
 
 
 @dataclass(frozen=True)
@@ -359,16 +304,10 @@ def sequence_root_inclusions(tc: TwistedConjugation, J, w: WeylElement) -> RootI
     checked = 0
     failures: list[str] = []
 
-    def phi(subset, positive_only=True):
-        return rs.parabolic_root_indices(subset, positive_only=positive_only)
-
-    def phi_all(subset):
-        return rs.parabolic_root_indices(subset)
-
     # (1): layer 0 into the unipotent part across delta(J)
     J1 = seq.subset_at(1)
-    target = frozenset(range(rs.n_positive)) - phi_all(delta.subset(J))
-    for r in phi(J) - phi_all(J1):
+    target = frozenset(range(rs.n_positive)) - rs.parabolic_root_indices(delta.subset(J))
+    for r in rs.parabolic_root_indices(J, positive_only=True) - rs.parabolic_root_indices(J1):
         checked += 1
         img = w.root_image(r)
         if img not in target:
@@ -379,8 +318,9 @@ def sequence_root_inclusions(tc: TwistedConjugation, J, w: WeylElement) -> RootI
     # (2): layer i into the delta-image of the previous Levi, off the next one
     for i in range(1, n_steps):
         Ji, Ji1 = seq.subset_at(i), seq.subset_at(i + 1)
-        target = phi(delta.subset(seq.subset_at(i - 1))) - phi_all(delta.subset(Ji))
-        for r in phi(Ji) - phi_all(Ji1):
+        target = rs.parabolic_root_indices(delta.subset(seq.subset_at(i - 1)), positive_only=True)
+        target -= rs.parabolic_root_indices(delta.subset(Ji))
+        for r in rs.parabolic_root_indices(Ji, positive_only=True) - rs.parabolic_root_indices(Ji1):
             checked += 1
             img = w.root_image(r)
             if img not in target:

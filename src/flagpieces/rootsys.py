@@ -231,10 +231,6 @@ class Root:
 
     coords: tuple[int, ...]
 
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
     def __neg__(self) -> Root:
         return Root(tuple(-c for c in self.coords))
 

@@ -130,6 +130,13 @@ def stable_support(w: WeylElement, delta: DiagramAutomorphism) -> frozenset[int]
     return frozenset(out)
 
 
+def simple_image(w: WeylElement, k: int) -> int | None:
+    """The j with w(alpha_k) = alpha_j, or None when w(alpha_k) is not simple."""
+    rs = w.group.root_system
+    coords = rs.roots[w.root_image(rs.simple_root_index(k))].coords
+    return coords.index(1) + 1 if sum(coords) == 1 else None  # height 1: simple
+
+
 def _components(n: int, neighbours) -> tuple[list[list[int]], list[int]]:
     """Connected components of a symmetric relation on range(n).
 
@@ -189,8 +196,9 @@ class TwistedConjugation:
     """The twisted conjugation action of parabolic subgroups on a Weyl group.
 
     Frozen inputs (group table and diagram automorphism) are shared; per-J
-    results (orbit partitions, shift digraphs, stabilizer types) are memoized
-    on this object, so reuse one instance per (group, delta) pair.
+    results (orbit partitions, shift digraphs, stabilizer types, closure
+    posets) are memoized on this object, so reuse one instance per
+    (group, delta) pair.
     """
 
     def __init__(self, group: WeylGroup, delta: DiagramAutomorphism):
@@ -205,6 +213,7 @@ class TwistedConjugation:
         self._adj_cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
         self._strong_cache: dict[frozenset[int], list[int]] = {}
         self._dist_cache: dict[frozenset[int], dict[int, tuple[WeylElement, WeylElement] | None]] = {}
+        self._poset_cache: dict = {}  # J -> pieces.ClosurePoset, filled by pieces.closure_poset
 
     def _twist_steps(self, J) -> list[tuple]:
         """Per j in J, the tables (left s_d(j), right s_j): y -> s_d(j) y s_j
@@ -276,19 +285,11 @@ class TwistedConjugation:
         g = self.group
         if not g.is_min_left_rep(w, J):
             raise ValueError(f"w = {w!r} is not a minimal coset representative for J={sorted(J)}")
-        rs = g.root_system
-        image: dict[int, int | None] = {}
-        for k in J:
-            r = w.root_image(rs.simple_root_index(k))
-            coords = rs.roots[r].coords
-            if sum(coords) == 1:  # positive of height 1: a simple root
-                image[k] = coords.index(1) + 1
-            else:
-                image[k] = None
+        image = {k: simple_image(w, k) for k in J}
         K = set(J)
         while True:
             target = {self.delta(k) for k in K}
-            kept = {k for k in K if image[k] is not None and image[k] in target}
+            kept = {k for k in K if image[k] in target}
             if kept == K:
                 break
             K = kept
@@ -298,7 +299,7 @@ class TwistedConjugation:
 
     # -- class decomposition ---------------------------------------------------
 
-    def class_decomposition(self, J, verify: bool = False) -> tuple[TwistClass, ...]:
+    def class_decomposition(self, J) -> tuple[TwistClass, ...]:
         """The classes [w]_J = W_J . (w W_K), one per w in W^J; they tile W."""
         J = frozenset(J)
         g = self.group
@@ -312,17 +313,6 @@ class TwistedConjugation:
                 members.extend(orbits[oid].members)
             members.sort(key=lambda e: e.index)
             out.append(TwistClass(w, K, tuple(members)))
-        if verify:
-            seen: set[int] = set()
-            total = 0
-            for cls in out:
-                idxs = {m.index for m in cls.members}
-                if seen & idxs:
-                    raise AssertionError("twist classes are not pairwise disjoint")
-                seen |= idxs
-                total += len(idxs)
-            if total != g.order:
-                raise AssertionError("twist classes do not cover the group")
         return tuple(out)
 
     # -- cyclic shift ------------------------------------------------------------

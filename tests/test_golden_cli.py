@@ -2,8 +2,9 @@
 
 Each entry pins the sha256 of stdout for one in-process ``cli.main`` run:
 ``pieces``, ``poset --format json`` and ``orbits`` for every (type, delta) in
-``conftest.SCOPE`` at J = {} and J = {1}, plus ``verify`` for A3 flip and
-D4 tri. A changed digest means the command's output changed.
+``conftest.SCOPE`` at J = {} and J = {1}, plus ``verify`` and
+``verify --format json`` for A3 flip and D4 tri. A changed digest means the
+command's output changed.
 """
 
 import contextlib
@@ -109,6 +110,8 @@ GOLDEN = {
     ('G2', 'id', '1', 'orbits'): "7ee5d50f416a8f533b909c0980ec761b16fa96d8cb1b07a65dd21b34ecf3f52d",
     ('A3', 'flip', None, 'verify'): "88792459d4625db6a54e4f3a03a527df15864798e0033ee3cb430e7b5ac30cc5",
     ('D4', 'tri', None, 'verify'): "f1ebf3b91df6e4a7e4bf3859697bfecb8903440d3a415300263ed17536a7f89d",
+    ('A3', 'flip', None, 'verify --format json'): "df031839ec11a2fcd1340e0b539a705f8672ddde6f07ec4eabb2c4e33edd7b31",
+    ('D4', 'tri', None, 'verify --format json'): "fd2cbe19e2cf1b322951dac27df6e3267bf604ac2ea87932912150552b3c9daa",
 }
 
 

@@ -9,8 +9,10 @@ from flagpieces.oracle import (
     OracleReport,
     bruhat_lower_set_oracle,
     bruhat_oracle,
+    check_class_partition,
     check_closure_agreement,
     check_coset_minimality,
+    check_parabolic_restriction,
     closure_matrix_oracle,
     enumerate_stabilizing_sequences,
     irreducible_oracle,
@@ -156,7 +158,7 @@ def test_closure_agreement_counts_every_flipped_bit(tc_of, monkeypatch, J, k):
     for a, b in flips:
         rows[a] ^= 1 << b
     broken = dataclasses.replace(real, leq_rows=tuple(rows))
-    monkeypatch.setattr(pieces, "closure_poset", lambda tc_, J_, verify=False: broken)
+    monkeypatch.setattr(pieces, "closure_poset", lambda tc_, J_: broken)
 
     rep = check_closure_agreement(tc, J)
 
@@ -220,3 +222,58 @@ def test_closure_matrix_oracle_rejects_some_any_disagreement():
     g.__dict__["_bruhat_up_reach"] = tuple(reach)
     with pytest.raises(AssertionError, match=r"some/any disagree for w=W\[e\], w2=W\[2\], J=\[1\]"):
         closure_matrix_oracle(tc, {1})
+
+
+def test_class_partition_records_planted_overlap(group_of, monkeypatch):
+    # a fresh A2 action at J = {1} whose orbit {s1s2, s2s1} is replaced by the
+    # orbit {e}: the class of s1s2 then shares e with the class of e, and
+    # s1s2, s2s1 are left uncovered
+    g = group_of("A2")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    J = frozenset({1})
+    orbits, orbit_of = tc.orbit_partition(J)
+    assert [[word_str(m) for m in o.members] for o in orbits[::3]] == [["e"], ["1,2", "2,1"]]
+    planted = orbits[:3] + orbits[:1]
+    monkeypatch.setattr(tc, "orbit_partition", lambda J_: (planted, orbit_of))
+    rep = check_class_partition(tc, J)
+    assert rep.failures == [
+        ("J=[1] base=1,2", "2 members (literal)", "1 members"),
+        ("J=[1] base=1,2", "disjoint", "1 shared"),
+        ("J=[1]", "6 elements covered", "4"),
+    ]
+    assert (rep.instances_checked, rep.failure_count) == (3, 3)
+
+
+def test_parabolic_restriction_records_planted_j1(group_of, monkeypatch):
+    # J1 = {1} at (J, K, w) = ({1}, {1}, e); plant the empty set there
+    g = group_of("A2")
+    real = oracle.parabolic_restriction_type
+
+    def planted(group, J, K, w):
+        if (J, K, w) == ({1}, {1}, g.identity):
+            return frozenset()
+        return real(group, J, K, w)
+
+    monkeypatch.setattr(oracle, "parabolic_restriction_type", planted)
+    rep = check_parabolic_restriction(g)
+    assert rep.failure_count == 1
+    assert rep.failures == [("J=[1] K=[1] w=e", "Phi_J1 = Phi_J ^ w1 Phi_K", "J1=[]")]
+    assert rep.instances_checked == 4 * 13  # every K, and (J, w) with w in ^JW
+
+
+def test_subset_checks_build_the_closure_poset_once(group_of, monkeypatch):
+    # order-axioms and closure-agreement share the poset memoized on the action
+    g = group_of("A3")
+    delta = DiagramAutomorphism.from_spec(g.root_system, "flip")
+    calls = []
+    real = pieces.piece_records
+
+    def counting(tc, J):
+        calls.append(frozenset(J))
+        return real(tc, J)
+
+    monkeypatch.setattr(pieces, "piece_records", counting)
+    for J in subsets_of(g.simple_indices):
+        calls.clear()
+        assert all(rep.passed for rep in oracle.run_subset_checks(g, delta, J))
+        assert calls == [J]

@@ -18,7 +18,6 @@ from flagpieces.pieces import (
     CriterionNotApplicable,
     SequenceError,
     TwistedSequence,
-    _check_partial_order,
     closure_poset,
     is_irreducible,
     parabolic_restriction_type,
@@ -108,7 +107,7 @@ def test_twisted_leq_reflexive_and_chain(tc_of):
     g = tc.group
     e, s2, s1s2 = g.identity, g.simple_reflection(2), g.from_word([1, 2])
     for w in (e, s2, s1s2):
-        assert twisted_leq(tc, {1}, w, w, verify=True)
+        assert twisted_leq(tc, {1}, w, w)
     assert twisted_leq(tc, {1}, e, s2)
     assert twisted_leq(tc, {1}, s2, s1s2)
     assert not twisted_leq(tc, {1}, s1s2, s2)
@@ -128,7 +127,7 @@ def test_closure_poset_empty_j_is_bruhat(tc_of):
     for label, spec in [("A2", "id"), ("B2", "id"), ("A3", "flip")]:
         tc = tc_of(label, spec)
         g = tc.group
-        poset = closure_poset(tc, set(), verify=True)
+        poset = closure_poset(tc, set())
         assert [r.index_w for r in poset.records] == list(g.elements)
         for a in range(g.order):
             for b in range(g.order):
@@ -137,7 +136,7 @@ def test_closure_poset_empty_j_is_bruhat(tc_of):
 
 def test_closure_poset_a2_chain(tc_of):
     tc = tc_of("A2", "id")
-    poset = closure_poset(tc, {1}, verify=True)
+    poset = closure_poset(tc, {1})
     assert [word_str(r.index_w) for r in poset.records] == ["e", "2", "2,1"]
     assert poset.hasse_edges == ((0, 1), (1, 2))
 
@@ -145,14 +144,14 @@ def test_closure_poset_a2_chain(tc_of):
 def test_closure_poset_full_j_single_node(tc_of):
     for label in ("A2", "A3"):
         tc = tc_of(label, "id")
-        poset = closure_poset(tc, set(tc.group.simple_indices), verify=True)
+        poset = closure_poset(tc, set(tc.group.simple_indices))
         assert len(poset.records) == 1
         assert poset.hasse_edges == ()
 
 
 def test_closure_poset_hasse_is_transitive_reduction(tc_of):
     tc = tc_of("B2", "id")
-    poset = closure_poset(tc, {2}, verify=True)
+    poset = closure_poset(tc, {2})
     n = len(poset.records)
     # rebuild reachability from the Hasse edges; must match leq minus loops
     reach = [set() for _ in range(n)]
@@ -246,11 +245,11 @@ def test_irreducibility_vs_containment_oracle(tc_of, label, spec):
 def test_parabolic_restriction_examples(tc_of):
     g = tc_of("A2", "id").group
     for w in g.min_coset_reps({1}, "left"):
-        assert parabolic_restriction_type(g, {1}, set(), w, verify=True) == frozenset()
-    assert parabolic_restriction_type(g, {1}, {2}, g.identity, verify=True) == frozenset()
-    assert parabolic_restriction_type(g, {1}, {1}, g.identity, verify=True) == frozenset({1})
+        assert parabolic_restriction_type(g, {1}, set(), w) == frozenset()
+    assert parabolic_restriction_type(g, {1}, {2}, g.identity) == frozenset()
+    assert parabolic_restriction_type(g, {1}, {1}, g.identity) == frozenset({1})
     w = g.from_word([2, 1])
-    assert parabolic_restriction_type(g, {1}, {2}, w, verify=True) == frozenset({1})
+    assert parabolic_restriction_type(g, {1}, {2}, w) == frozenset({1})
     with pytest.raises(ValueError, match="not in"):
         parabolic_restriction_type(g, {1}, {2}, g.simple_reflection(1))
 
@@ -341,7 +340,9 @@ def test_twisted_leq_matches_pairwise_bruhat(tc_of, label, spec):
 
 
 def test_closure_and_twisted_leq_make_no_bruhat_leq_calls(tc_of, monkeypatch):
-    tc = tc_of("B3", "id")
+    # a fresh action, so that no poset is memoized before the patch
+    base = tc_of("B3", "id")
+    tc = fp.TwistedConjugation(base.group, base.delta)
     g = tc.group
 
     def refuse(self, u, v):
@@ -349,11 +350,12 @@ def test_closure_and_twisted_leq_make_no_bruhat_leq_calls(tc_of, monkeypatch):
 
     monkeypatch.setattr(fp.WeylGroup, "bruhat_leq", refuse)
     for J in subsets_of(g.simple_indices):
-        closure_poset(tc, J, verify=True)
+        closure_poset(tc, J)
+        assert check_order_axioms(tc, J).passed
         reps = g.min_coset_reps(J, "right")
         for w in reps:
             for w2 in (reps[-1], g.longest_element, g.simple_reflection(1)):
-                twisted_leq(tc, J, w, w2, verify=True)
+                twisted_leq(tc, J, w, w2)
 
 
 def test_twisted_leq_rejects_foreign_elements(tc_of):
@@ -371,15 +373,25 @@ def test_twisted_leq_rejects_foreign_elements(tc_of):
         ([0b011, 0b110, 0b100], "not transitive at 0, 1"),
     ],
 )
-def test_check_partial_order_rejects_broken_rows(rows, message):
-    with pytest.raises(AssertionError, match=message):
-        _check_partial_order(rows)
+def test_check_partial_order_rejects_broken_rows(tc_of, monkeypatch, rows, message):
+    # the rows are planted in a poset with as many pieces: A1 at J = {}, A2 at J = {1}
+    label, J = {2: ("A1", frozenset()), 3: ("A2", frozenset({1}))}[len(rows)]
+    tc = tc_of(label, "id")
+    broken = dataclasses.replace(closure_poset(tc, J), leq_rows=tuple(rows))
+    monkeypatch.setattr(pieces_mod, "closure_poset", lambda tc_, J_: broken)
+    rep = check_order_axioms(tc, J)
+    assert (rep.instances_checked, rep.failure_count) == (1, 1)
+    assert rep.failures == [
+        (f"J={sorted(J)}", "partial order axioms", f"closure relation is {message}")
+    ]
 
 
 def test_closure_poset_verify_detects_representative_dependence(tc_of, monkeypatch):
     # give the A2 (J = {}) piece of s1 the minima (s1, s2): s2 <= s2 holds but
-    # s2 <= s1 does not, so the order depends on the representative
-    tc = tc_of("A2", "id")
+    # s2 <= s1 does not, so the order depends on the representative; a fresh
+    # action, so that the doctored poset is not memoized for other tests
+    base = tc_of("A2", "id")
+    tc = fp.TwistedConjugation(base.group, base.delta)
     s1, s2 = tc.group.simple_reflection(1), tc.group.simple_reflection(2)
     real = piece_records
 
@@ -391,8 +403,15 @@ def test_closure_poset_verify_detects_representative_dependence(tc_of, monkeypat
 
     monkeypatch.setattr(pieces_mod, "piece_records", doctored)
     closure_poset(tc, set())  # the fast path reads one representative only
-    with pytest.raises(AssertionError, match="not independent of the representative"):
-        closure_poset(tc, set(), verify=True)
+    rep = check_order_axioms(tc, set())
+    assert (rep.instances_checked, rep.failure_count) == (1, 1)
+    assert rep.failures == [
+        (
+            "J=[]",
+            "partial order axioms",
+            "twisted order not independent of the representative at nodes 2, 1 for J=[]",
+        )
+    ]
 
 
 def test_twisted_leq_verify_detects_representative_dependence(tc_of, monkeypatch):
@@ -404,6 +423,7 @@ def test_twisted_leq_verify_detects_representative_dependence(tc_of, monkeypatch
     monkeypatch.setattr(
         tc, "orbit_min", lambda y, J: (s1, s2) if y == s1 else real(y, J)
     )
-    assert not twisted_leq(tc, set(), s2, s1)
-    with pytest.raises(AssertionError, match="not independent of the representative"):
-        twisted_leq(tc, set(), s2, s1, verify=True)
+    assert not twisted_leq(tc, set(), s2, s1)  # read at the first minimum, s1
+    rep = check_order_axioms(tc, set())
+    assert rep.failure_count == 1
+    assert "not independent of the representative" in rep.failures[0][2]

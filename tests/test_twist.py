@@ -172,11 +172,11 @@ def test_stabilizer_type_vs_all_subsets_oracle(tc_of, label, spec):
 def test_class_decomposition_examples(group_of, tc_of):
     g = group_of("A2")
     tc = tc_of("A2", "id")
-    classes = tc.class_decomposition(frozenset(), verify=True)
+    classes = tc.class_decomposition(frozenset())
     assert all(len(c.members) == 1 for c in classes)
     assert len(classes) == g.order
 
-    classes = tc.class_decomposition({1}, verify=True)
+    classes = tc.class_decomposition({1})
     by_base = {word_str(c.base): {word_str(m) for m in c.members} for c in classes}
     assert by_base == {
         "e": {"e", "1"},
@@ -184,7 +184,7 @@ def test_class_decomposition_examples(group_of, tc_of):
         "1,2": {"1,2", "2,1"},
     }
 
-    classes = tc.class_decomposition({1, 2}, verify=True)
+    classes = tc.class_decomposition({1, 2})
     assert len(classes) == 1
     assert len(classes[0].members) == g.order  # conjugation action: one class of e
 
