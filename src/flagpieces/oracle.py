@@ -217,8 +217,7 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
     """
     g = tc.group
     J = frozenset(J)
-    lmul, rmul, reach = g._lmul, g._rmul, g._bruhat_up_reach
-    length = [e.length for e in g.elements]
+    lmul, rmul, reach, length = g._lmul, g._rmul, g._bruhat_up_reach, g._length
     reps = g.min_coset_reps(J, "right")
     twists = _twist_words(tc, J)
     # the minima of every orbit, laid end to end; spans[b] delimits those of reps[b]
@@ -348,14 +347,13 @@ def check_group_order(group: WeylGroup) -> OracleReport:
 def check_bruhat_agreement(group: WeylGroup, max_len: int = _BRUHAT_WORD_CAP) -> OracleReport:
     """Fast Bruhat rows vs the subword oracle, for every v within the word cap."""
     rep = OracleReport("bruhat-subword")
-    index_of = {e: e.index for e in group.elements}
     for v in group.elements:
         if v.length > max_len:
             continue
         lower = bruhat_lower_set_oracle(v)
         mask = 0
         for u in lower:
-            mask |= 1 << index_of[u]
+            mask |= 1 << u.index
         fast = group.bruhat_lower_mask(v)
         rep.instances_checked += group.order
         if mask != fast:
@@ -373,8 +371,7 @@ def check_coset_minimality(group: WeylGroup) -> OracleReport:
     """min_coset_rep lands in the coset, is its unique shortest element, and
     splits the length additively."""
     rep = OracleReport("coset-minimality")
-    length = [e.length for e in group.elements]
-    inv = group._inverse_index
+    length, inv = group._length, group._inverse_index
     # per side, the walk that multiplies an index by y: on the right (w y)
     # through _rmul, on the left (y w) through _lmul with y's word reversed
     sides = (
@@ -507,10 +504,9 @@ def check_orbit_minimality(tc: TwistedConjugation, J) -> OracleReport:
     orbits, _ = tc.orbit_partition(frozenset(J))
     for orbit in orbits:
         rep.instances_checked += 1
+        members = orbit.members
         bruhat_min = {
-            v
-            for v in orbit.members
-            if not any(u != v and g.bruhat_leq(u, v) for u in orbit.members)
+            v for v in members if not any(u != v and g.bruhat_leq(u, v) for u in members)
         }
         if bruhat_min != set(orbit.min_elements):
             rep.record(

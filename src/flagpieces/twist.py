@@ -14,12 +14,17 @@ and each is the set of connected components of a symmetric relation on
 element indices, found by one walk (`_components`): the twist steps
 y -> s_d(j) y s_j, the length-preserving shift steps, and the length-additive,
 length-preserving twists by elements of W_J. Parts are ordered by smallest
-member and numbered in that order.
+member and numbered in that order; each part is an `array('I')` of element
+indices and the part numbers are an `array('I')` indexed by element, so a
+partition of W makes no element objects. A twisted orbit creates its member
+and minimal elements when they are read.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .rootsys import RootSystem
@@ -137,37 +142,51 @@ def simple_image(w: WeylElement, k: int) -> int | None:
     return coords.index(1) + 1 if sum(coords) == 1 else None  # height 1: simple
 
 
-def _components(n: int, neighbours) -> tuple[list[list[int]], list[int]]:
+_UNSEEN = 0xFFFFFFFF  # part number of an index the walk has not reached
+
+
+def _components(n: int, neighbours) -> tuple[list[array], array]:
     """Connected components of a symmetric relation on range(n).
 
-    neighbours(k) lists the indices related to k. Returns the parts, each
-    sorted and ordered by smallest member, and the list giving each index the
-    number of its part.
+    neighbours(k) lists the indices related to k. Returns the parts, each an
+    ascending array('I') and ordered by smallest member, and the array('I')
+    giving each index the number of its part.
     """
-    part_of = [-1] * n
-    parts: list[list[int]] = []
+    part_of = array("I", [_UNSEEN]) * n
+    parts: list[array] = []
     for start in range(n):
-        if part_of[start] != -1:
+        if part_of[start] != _UNSEEN:
             continue
         pid = len(parts)
         part_of[start] = pid
         found = [start]
         for y in found:  # found grows while it is walked
             for z in neighbours(y):
-                if part_of[z] == -1:
+                if part_of[z] == _UNSEEN:
                     part_of[z] = pid
                     found.append(z)
         found.sort()
-        parts.append(found)
+        parts.append(array("I", found))
     return parts, part_of
 
 
 @dataclass(frozen=True)
 class TwistedOrbit:
-    """One W_J-orbit under x . y = d(x) y x^-1, with its minimal elements."""
+    """One W_J-orbit under x . y = d(x) y x^-1, kept as ascending element
+    indices; its minimal elements (those of least length) are a prefix of
+    them. The elements are created when `members` or `min_elements` is read."""
 
-    members: tuple[WeylElement, ...]
-    min_elements: tuple[WeylElement, ...]
+    group: WeylGroup
+    member_indices: array
+    n_min: int
+
+    @property
+    def members(self) -> tuple[WeylElement, ...]:
+        return tuple(map(self.group.elements.__getitem__, self.member_indices))
+
+    @property
+    def min_elements(self) -> tuple[WeylElement, ...]:
+        return tuple(map(self.group.elements.__getitem__, self.member_indices[: self.n_min]))
 
 
 @dataclass(frozen=True)
@@ -206,12 +225,12 @@ class TwistedConjugation:
             raise ValueError("group and automorphism use different root systems")
         self.group = group
         self.delta = delta
-        self._delta_cache: list[WeylElement | None] = [None] * group.order
-        self._orbit_cache: dict[frozenset[int], tuple[tuple[TwistedOrbit, ...], list[int]]] = {}
+        self._delta_cache: dict[int, WeylElement] = {}
+        self._orbit_cache: dict[frozenset[int], tuple[tuple[TwistedOrbit, ...], array]] = {}
         self._stab_cache: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-        self._scc_cache: dict[frozenset[int], tuple[tuple[tuple[WeylElement, ...], ...], list[int]]] = {}
+        self._scc_cache: dict[frozenset[int], tuple[tuple[tuple[WeylElement, ...], ...], array]] = {}
         self._adj_cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
-        self._strong_cache: dict[frozenset[int], list[int]] = {}
+        self._strong_cache: dict[frozenset[int], array] = {}
         self._dist_cache: dict[frozenset[int], dict[int, tuple[WeylElement, WeylElement] | None]] = {}
         self._poset_cache: dict = {}  # J -> pieces.ClosurePoset, filled by pieces.closure_poset
 
@@ -222,10 +241,9 @@ class TwistedConjugation:
         return [(g._lmul[self.delta(j)], g._rmul[j]) for j in sorted(J)]
 
     def delta_apply(self, w: WeylElement) -> WeylElement:
-        cached = self._delta_cache[w.index]
+        cached = self._delta_cache.get(w.index)
         if cached is None:
-            cached = delta_on_element(self.delta, w)
-            self._delta_cache[w.index] = cached
+            cached = self._delta_cache[w.index] = delta_on_element(self.delta, w)
         return cached
 
     def twisted_conjugate(self, x: WeylElement, y: WeylElement, J) -> WeylElement:
@@ -236,9 +254,9 @@ class TwistedConjugation:
 
     # -- orbits ---------------------------------------------------------------
 
-    def orbit_partition(self, J) -> tuple[tuple[TwistedOrbit, ...], list[int]]:
-        """All twisted W_J-orbits, ordered by smallest member, and the list
-        giving each element index the position of its orbit.
+    def orbit_partition(self, J) -> tuple[tuple[TwistedOrbit, ...], array]:
+        """All twisted W_J-orbits, ordered by smallest member, and the
+        array('I') giving each element index the position of its orbit.
 
         The orbits are the connected components of the steps y -> s_d(j) y s_j
         for j in J; each step is an involution and the steps generate the
@@ -248,16 +266,19 @@ class TwistedConjugation:
         cached = self._orbit_cache.get(J)
         if cached is not None:
             return cached
-        elems = self.group.elements
+        g = self.group
+        length = g._length
         steps = self._twist_steps(J)
-        parts, orbit_of = _components(len(elems), lambda y: [r[dl[y]] for dl, r in steps])
-        orbits = []
-        for part in parts:
-            members = tuple(elems[k] for k in part)
-            low = members[0].length
-            mins = tuple(m for m in members if m.length == low)
-            orbits.append(TwistedOrbit(members, mins))
-        out = (tuple(orbits), orbit_of)
+        parts, orbit_of = _components(g.order, lambda y: [r[dl[y]] for dl, r in steps])
+        # a part ascends by index, so by length: its minima are the run of
+        # members as short as the first
+        out = (
+            tuple(
+                TwistedOrbit(g, part, bisect_right(part, length[part[0]], key=length.__getitem__))
+                for part in parts
+            ),
+            orbit_of,
+        )
         self._orbit_cache[J] = out
         return out
 
@@ -303,16 +324,14 @@ class TwistedConjugation:
         """The classes [w]_J = W_J . (w W_K), one per w in W^J; they tile W."""
         J = frozenset(J)
         g = self.group
+        elems = g.elements
         orbits, orbit_of = self.orbit_partition(J)
         out = []
         for w in g.min_coset_reps(J, "right"):
             K = self.stabilizer_type(J, w)
             oids = {orbit_of[(w * v).index] for v in g.parabolic_elements(K)}
-            members = []
-            for oid in sorted(oids):
-                members.extend(orbits[oid].members)
-            members.sort(key=lambda e: e.index)
-            out.append(TwistClass(w, K, tuple(members)))
+            members = sorted(k for oid in oids for k in orbits[oid].member_indices)
+            out.append(TwistClass(w, K, tuple(map(elems.__getitem__, members))))
         return tuple(out)
 
     # -- cyclic shift ------------------------------------------------------------
@@ -331,12 +350,12 @@ class TwistedConjugation:
         cached = self._adj_cache.get(J)
         if cached is not None:
             return cached
-        elems = self.group.elements
+        length = self.group._length
         steps = self._twist_steps(J)
         adj: list[tuple[int, ...]] = []
-        for w in elems:
-            targets = {r[dl[w.index]] for dl, r in steps}
-            adj.append(tuple(sorted(z for z in targets if elems[z].length <= w.length)))
+        for w in range(self.group.order):
+            targets = {r[dl[w]] for dl, r in steps}
+            adj.append(tuple(sorted(z for z in targets if length[z] <= length[w])))
         self._adj_cache[J] = adj
         return adj
 
@@ -372,18 +391,18 @@ class TwistedConjugation:
         # comes with its reverse, and no cycle can contain a length-dropping
         # edge: the strongly connected components are the connected
         # components of the length-preserving edges.
-        elems = self.group.elements
+        elems, length = self.group.elements, self.group._length
         adj = self._shift_adjacency(J)
         parts, comp = _components(
-            len(adj), lambda u: [v for v in adj[u] if elems[v].length == elems[u].length]
+            len(adj), lambda u: [v for v in adj[u] if length[v] == length[u]]
         )
-        out = (tuple(tuple(elems[i] for i in part) for part in parts), comp)
+        out = (tuple(tuple(map(elems.__getitem__, part)) for part in parts), comp)
         self._scc_cache[J] = out
         return out
 
     # -- strong conjugacy ----------------------------------------------------------
 
-    def _strong_components(self, J: frozenset[int]) -> list[int]:
+    def _strong_components(self, J: frozenset[int]) -> array:
         cached = self._strong_cache.get(J)
         if cached is not None:
             return cached
@@ -394,7 +413,7 @@ class TwistedConjugation:
         # word reversed), x^-1 on the right through _rmul.
         g = self.group
         lmul, rmul = g._lmul, g._rmul
-        length = [e.length for e in g.elements]
+        length = g._length
         xs = [
             (x.length, tuple(reversed(self.delta_apply(x).word)), x.inverse().word)
             for x in g.parabolic_elements(J)
@@ -454,7 +473,7 @@ class TwistedConjugation:
         returned path lists (j, element reached) for each step taken.
         """
         J = frozenset(J)
-        elems = self.group.elements
+        elems, length = self.group.elements, self.group._length
         moves = list(zip(sorted(J), self._twist_steps(J)))
         start = w.index
         parents: dict[int, tuple[int, int]] = {}
@@ -476,7 +495,7 @@ class TwistedConjugation:
                 return Reduction(label, tail, tuple(reversed(steps)))
             for j, (dl, r) in moves:
                 z = r[dl[uidx]]
-                zlen = elems[z].length
+                zlen = length[z]
                 if zlen <= u.length and z not in seen:
                     seen.add(z)
                     parents[z] = (uidx, j)

@@ -3,21 +3,23 @@
 A WeylGroup checks the closed-form order against the element ceiling, then
 enumerates the whole group breadth-first, one length level at a time, keyed on
 w(2 rho) packed into one int. Discovery order is already the deterministic
-element order (length, then lexicographically smallest reduced word), and an
-inverse follows from the word with its last letter dropped. For each simple
-index i the group keeps a left table (s_i w) and a right table (w s_i) of
-element indices; these tables and the reduced words are the only
-representation of an element. Elements multiply by walking a reduced word
-through the tables; since the order is by length first, a table entry larger
-than its argument is a length-increasing step, which decides descents and
-coset minimality and grows coset representatives from the identity. Root
-images walk a reduced word through the simple reflections of the root
-system. The Bruhat covering digraph and its reachability closure are built on
-demand.
+element order (length, then lexicographically smallest reduced word). Per
+element the group keeps only index arrays: its length and its smallest left
+descent (`array('B')`), and, for each simple index i, a left table (s_i w) and
+a right table (w s_i) of element indices (`array('I')`). A WeylElement is
+created, and kept, when its index is first looked up in `WeylGroup.elements`;
+its reduced word is derived then, by stepping down through the smallest left
+descents. Elements multiply by walking a reduced word through the tables;
+since the order is by length first, a table entry larger than its argument is
+a length-increasing step, which decides descents and coset minimality and
+grows coset representatives from the identity. Root images walk a reduced
+word through the simple reflections of the root system. The Bruhat covering
+digraph and its reachability closure are built on demand.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from functools import cached_property
 from typing import Iterable
@@ -43,17 +45,29 @@ class WeylElement:
     """A group element: its index in the group table, length and
     lexicographically smallest reduced word (1-based letters).
 
-    Elements are interned per group, so equality is identity; the hash is the
-    index, which keeps the iteration order of element sets deterministic.
+    Equality is (group, index) and the hash is the index, which keeps the
+    iteration order of element sets deterministic. Elements are interned per
+    group by `WeylGroup.elements`, which creates one, word included, on the
+    first lookup of its index. That fill takes no lock: two threads racing on
+    one index may each create an element, one of which is stored, and the
+    two compare equal, hash alike and carry the same word.
     """
 
     __slots__ = ("group", "index", "length", "word")
 
-    def __init__(self, group: WeylGroup, index: int, length: int, word: tuple[int, ...]):
+    def __init__(self, group: WeylGroup, index: int):
         self.group = group
         self.index = index
-        self.length = length
-        self.word = word
+        self.length = group._length[index]
+        # the smallest left descent starts the lexicographically smallest
+        # reduced word; strip it and repeat down to the identity
+        first, lmul = group._first, group._lmul
+        word = []
+        while index:
+            i = first[index]
+            word.append(i)
+            index = lmul[i][index]
+        self.word: tuple[int, ...] = tuple(word)
 
     def __mul__(self, other: WeylElement) -> WeylElement:
         g = self.group
@@ -76,11 +90,60 @@ class WeylElement:
             r = table[i - 1][r]
         return r
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return self.index == other.index and self.group is other.group
+
     def __hash__(self) -> int:
         return self.index
 
     def __repr__(self) -> str:
         return f"W[{word_str(self)}]"
+
+
+class _Elements(dict):
+    """The elements of a group by index, each created on its first lookup.
+
+    A lookup of an element already made is the dict's own C-level lookup;
+    only a miss runs `__missing__`. Length, iteration, membership and
+    equality with a tuple or list read it as the sequence of all elements in
+    index order, and a negative index counts from the end.
+    """
+
+    __slots__ = ("_group",)
+
+    def __init__(self, group: WeylGroup):
+        super().__init__()
+        self._group = group
+
+    def __missing__(self, x: int) -> WeylElement:
+        if x < 0:
+            if x + len(self) < 0:
+                raise IndexError(f"element index {x} out of range")
+            return self[x + len(self)]
+        # WeylElement reads the length array, which rejects x >= order
+        w = self[x] = WeylElement(self._group, x)
+        return w
+
+    def __len__(self) -> int:
+        return self._group.order
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __contains__(self, w) -> bool:
+        return isinstance(w, WeylElement) and w.group is self._group
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list)):
+            return NotImplemented
+        return len(other) == len(self) and all(map(operator.eq, self, other))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
 
 class WeylGroup:
@@ -108,21 +171,23 @@ class WeylGroup:
         # is first reached from its smallest left descent i, so numbering by
         # discovery gives the (length, lexicographically smallest reduced
         # word) order and that word is (i,) + word(s_i w). left[i][w] is the
-        # index of s_{i+1} w; pre[w] is w without the last letter of its word.
+        # index of s_{i+1} w; first[w] is the smallest left descent, last[w]
+        # the last letter of that word and pre[w] w without it.
         width, offset = _weight_field(root_system.n_positive)
         field = (1 << width) - 1
         shifts = [width * j for j in range(rank)]
         columns = [sum(a[j][i] << s for j, s in enumerate(shifts)) for i in range(rank)]
         left = [array("I", [0]) for _ in range(rank)]
-        words: list[tuple[int, ...]] = [()]
+        length, first, last = array("B", [0]), array("B", [0]), array("B", [0])
         pre = array("I", [0])
         level = [sum((2 + offset) << s for s in shifts)]
         start = 0  # index of level[0]
+        depth = 1  # length of the elements found from level
         n = capacity = 1
         while level:
             ids: dict[int, int] = {}
             for i in range(rank):
-                column, shift, li, letter = columns[i], shifts[i], left[i], (i + 1,)
+                column, shift, li, letter = columns[i], shifts[i], left[i], i + 1
                 for u, key in enumerate(level, start):
                     lam = (key >> shift & field) - offset
                     if lam > 0:
@@ -136,40 +201,44 @@ class WeylGroup:
                                 for table in left:
                                     table.extend(table)
                                 capacity *= 2
-                            words.append(letter + words[u])
-                            pre.append(li[pre[u]] if u else 0)
+                            length.append(depth)
+                            first.append(letter)
+                            if u:
+                                last.append(last[u])
+                                pre.append(li[pre[u]])
+                            else:
+                                last.append(letter)
+                                pre.append(0)
                         li[u] = j
                         li[j] = u
             start += len(level)
             level = list(ids)
+            depth += 1
         for table in left:
             del table[n:]
 
-        self.elements: tuple[WeylElement, ...] = tuple(
-            WeylElement(self, k, len(word), word) for k, word in enumerate(words)
-        )
+        self.order = n
+        self._length = length
+        self._first = first
         # w = pre[w] s_a for the last letter a, so w^-1 = s_a pre[w]^-1
         inv = array("I", [0])
         for k in range(1, n):
-            inv.append(left[words[k][-1] - 1][inv[pre[k]]])
+            inv.append(left[last[k] - 1][inv[pre[k]]])
         self._inverse_index = inv
         # multiplication tables, indexed by the 1-based simple index (slot 0 is
         # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i,
         # and w s_i = (s_i w^-1)^-1
         self._lmul: tuple[array, ...] = (array("I"),) + tuple(left)
         self._rmul: tuple[array, ...] = (array("I"),) + tuple(
-            array("I", [inv[lm[x]] for x in inv]) for lm in left
+            array("I", map(inv.__getitem__, map(lm.__getitem__, inv))) for lm in left
         )
+        self.elements: _Elements = _Elements(self)
         self.identity: WeylElement = self.elements[0]
         self._simple = tuple(self.elements[lm[0]] for lm in left)
         self._parabolic_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
         self._reps_cache: dict[tuple, tuple[WeylElement, ...]] = {}
 
     # -- basic structure ----------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     @property
     def simple_indices(self) -> range:
@@ -181,10 +250,12 @@ class WeylGroup:
         return self._simple[i - 1]
 
     def from_word(self, letters: Iterable[int]) -> WeylElement:
-        w = self.identity
+        x, rmul = 0, self._rmul
         for i in letters:
-            w = w * self.simple_reflection(i)
-        return w
+            if not 1 <= i <= self.rank:
+                raise IndexError(f"simple index {i} out of range 1..{self.rank}")
+            x = rmul[i][x]
+        return self.elements[x]
 
     @cached_property
     def longest_element(self) -> WeylElement:
@@ -301,7 +372,7 @@ class WeylGroup:
             prev = w
             w = self.min_coset_rep(w, K, "right")
             w = self.min_coset_rep(w, J, "left")
-            if w is prev:
+            if w == prev:
                 return w
 
     # -- Bruhat order ---------------------------------------------------------
@@ -327,24 +398,32 @@ class WeylGroup:
     @cached_property
     def bruhat_covers_up(self) -> tuple[tuple[int, ...], ...]:
         """For each element index u, the indices v with u covered by v."""
-        ups: list[list[int]] = [[] for _ in self.elements]
-        for u in self.elements:
-            for t in self.reflections:
-                v = u * t
-                if v.length == u.length + 1:
-                    ups[u.index].append(v.index)
-        return tuple(tuple(sorted(vs)) for vs in ups)
+        length, rmul = self._length, self._rmul
+        words = [t.word for t in self.reflections]
+        ups: list[tuple[int, ...]] = []
+        for u in range(self.order):
+            above = length[u] + 1
+            vs = []
+            for word in words:
+                v = u
+                for i in word:  # v = u t
+                    v = rmul[i][v]
+                if length[v] == above:
+                    vs.append(v)
+            ups.append(tuple(sorted(vs)))
+        return tuple(ups)
 
     @cached_property
     def _bruhat_up_reach(self) -> tuple[int, ...]:
-        # bitmask over element indices: bit v set in row u iff u <= v
+        # bitmask over element indices: bit v set in row u iff u <= v; a cover
+        # of u is longer, so it has a larger index and its row is done first
         ups = self.bruhat_covers_up
         reach = [0] * self.order
-        for u in sorted(self.elements, key=lambda e: -e.length):
-            m = 1 << u.index
-            for v in ups[u.index]:
+        for u in reversed(range(self.order)):
+            m = 1 << u
+            for v in ups[u]:
                 m |= reach[v]
-            reach[u.index] = m
+            reach[u] = m
         return tuple(reach)
 
     def bruhat_leq(self, u: WeylElement, v: WeylElement) -> bool:

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+from array import array
 
 import pytest
 
@@ -427,3 +429,17 @@ def test_twisted_leq_verify_detects_representative_dependence(tc_of, monkeypatch
     rep = check_order_axioms(tc, set())
     assert rep.failure_count == 1
     assert "not independent of the representative" in rep.failures[0][2]
+
+
+def test_e6_pieces_create_few_elements():
+    # the 27 labels of E6 flip at J = {1..5} need the labels, their inverses
+    # and the minima of their orbits, not one element object per element of
+    # W; a fresh group, so no other test has looked elements up in it
+    g = fp.weyl_group("E6")
+    tc = fp.TwistedConjugation(g, fp.DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    J = {1, 2, 3, 4, 5}
+    assert len(piece_records(tc, J)) == 27
+    made = sum(1 for o in gc.get_objects() if isinstance(o, fp.WeylElement) and o.group is g)
+    assert made < 1000 < g.order
+    orbit_of = tc.orbit_partition(J)[1]
+    assert isinstance(orbit_of, array) and orbit_of.typecode == "I"

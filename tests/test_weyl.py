@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import time
 from array import array
 from operator import mul
@@ -14,7 +16,7 @@ from flagpieces.oracle import (
     check_length_additivity,
     subsets_of,
 )
-from flagpieces.weyl import GroupTooLargeError
+from flagpieces.weyl import GroupTooLargeError, WeylElement
 
 
 def test_identity_and_involutions(group_of):
@@ -51,6 +53,88 @@ def test_canonical_word_is_lex_smallest_reduced(group_of):
             if g.from_word(word) == w
         ]
         assert min(reduced) == w.word if reduced else w.word == ()
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE}))
+def test_derived_words_are_lex_smallest_reduced(group_of, label):
+    # every word up to the longest length, multiplied out as root
+    # permutations (no group table): layer maps each product of a word of the
+    # current length to its lexicographically smallest such word, and
+    # smallest keeps that word from the first length the product appears at
+    g = group_of(label)
+    table = g.root_system.simple_reflection_table
+    layer = {tuple(range(len(table[0]))): ()}
+    smallest = dict(layer)
+    for _ in range(g.longest_element.length):
+        longer: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for perm, word in layer.items():
+            for a in g.simple_indices:
+                p = tuple(table[a - 1][r] for r in perm)  # s_a w
+                if p not in longer or (a,) + word < longer[p]:
+                    longer[p] = (a,) + word
+        for p, word in longer.items():
+            smallest.setdefault(p, word)
+        layer = longer
+    for w in g.elements:
+        assert len(w.word) == w.length
+        x = 0
+        for i in w.word:
+            x = g._rmul[i][x]
+        assert x == w.index
+        assert smallest[root_perm(w)] == w.word
+
+
+def test_elements_read_as_a_sequence():
+    g = weyl_group("A3")
+    assert len(g.elements) == g.order == 24
+    assert g.elements[-1] is g.elements[23] is g.longest_element
+    assert g.elements[-24] is g.identity
+    for bad in (24, -25):
+        with pytest.raises(IndexError):
+            g.elements[bad]
+    assert [w.index for w in g.elements] == list(range(24))
+    assert g.elements == tuple(g.elements) and g.elements == list(g.elements)
+    assert g.elements != tuple(g.elements)[:-1]
+    assert WeylElement(g, 7) in g.elements
+    assert weyl_group("A3").identity not in g.elements
+
+
+def test_elements_equal_by_group_and_index():
+    # a second element at one index, as two threads racing on a first lookup
+    # make, is equal to the stored one
+    g = weyl_group("A3")
+    twin = WeylElement(g, 5)
+    w = g.elements[5]
+    assert twin is not w
+    assert twin == w and hash(twin) == hash(w) and twin.word == w.word
+    assert g.double_coset_rep(twin, {1}, {3}) == g.double_coset_rep(w, {1}, {3})
+    assert twin != WeylElement(weyl_group("A3"), 5)
+
+
+def test_racing_lookups_agree():
+    # threads fill one fresh store at once; whichever element a lookup returns
+    # equals the stored one and has the right word
+    g = weyl_group("B4")
+    expected = [w.word for w in weyl_group("B4").elements]
+    seen: list[list[WeylElement]] = [[] for _ in range(6)]
+
+    def look(out):
+        out.extend(g.elements[x] for x in range(g.order))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=look, args=(out,)) for out in seen]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in seen:
+        assert out == list(g.elements)
+        assert [w.word for w in out] == expected
 
 
 @pytest.mark.parametrize(
