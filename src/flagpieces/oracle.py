@@ -4,9 +4,10 @@ Everything here chases definitions with explicit quantifiers: subword scans
 for the Bruhat order, all-subsets scans for stabilizer types, recursive
 enumeration of stabilizing sequences, and the twisted order unrolled over
 full minimal-orbit sets. The literal sets (twisted orbits, classes, cosets
-and double cosets) are built element by element as sets of element indices:
-each product walks a reduced word through the group's left or right table
-from an index (`_walk`), so no element object is made per product; the
+and double cosets) are sets of element indices with one value per x in the
+parabolic subgroup: a sweep of its prefix tree (`WeylGroup._sweep`) gets the
+value at x = s_f x' from the value at x' in one or two table steps, so no
+element object is made per product and no word is walked per x; the
 quantifiers over those sets are unchanged. The checks compare these against
 the fast paths and return OracleReport records; they are shipped in the
 library so the CLI verify command can run them in the field. All
@@ -80,15 +81,6 @@ def _walk(table, x: int, letters) -> int:
     for i in letters:
         x = table[i][x]
     return x
-
-
-def _twist_words(tc: TwistedConjugation, J) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Per x in W_J, the letters that walk y to d(x) y x^-1: those of d(x),
-    reversed, through g._lmul, then those of x^-1 through g._rmul."""
-    return [
-        (tuple(reversed(tc.delta_apply(x).word)), x.inverse().word)
-        for x in tc.group.parabolic_elements(J)
-    ]
 
 
 def subsets_of(indices) -> list[frozenset[int]]:
@@ -184,9 +176,10 @@ def enumerate_stabilizing_sequences(tc: TwistedConjugation, J) -> list[TwistedSe
         Jn1 = Jn & simple_image_subset(wn, delta.subset(Jn))
         dJn = delta.subset(Jn)
         dJn1 = delta.subset(Jn1)
-        # the double coset W_Jn1 wn W_d(Jn): a wn for every a, then times every b
-        lefts = {_walk(lmul, wn.index, reversed(a.word)) for a in g.parabolic_elements(Jn1)}
-        coset = {_walk(rmul, y, b.word) for y in lefts for b in g.parabolic_elements(dJn)}
+        # the double coset W_Jn1 wn W_d(Jn): a wn for every a, then times
+        # every b (swept as y x^-1 for x in W_d(Jn))
+        lefts = set(g._sweep(Jn1, wn.index, left=lmul))
+        coset = {z for y in lefts for z in g._sweep(dJn, y, right=rmul)}
         cands = [
             elems[x]
             for x in sorted(coset)
@@ -217,14 +210,13 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
     """
     g = tc.group
     J = frozenset(J)
-    lmul, rmul, reach, length = g._lmul, g._rmul, g._bruhat_up_reach, g._length
+    reach, length = g._bruhat_up_reach, g._length
     reps = g.min_coset_reps(J, "right")
-    twists = _twist_words(tc, J)
     # the minima of every orbit, laid end to end; spans[b] delimits those of reps[b]
     flat: list[int] = []
     spans: list[tuple[int, int]] = []
     for w in reps:
-        orb = {_walk(rmul, _walk(lmul, w.index, dx), xi) for dx, xi in twists}
+        orb = set(g._sweep(J, w.index, tc._dlmul, g._rmul))  # d(x) w x^-1 per x in W_J
         low = min(length[e] for e in orb)
         start = len(flat)
         flat.extend(e for e in sorted(orb) if length[e] == low)
@@ -379,7 +371,6 @@ def check_coset_minimality(group: WeylGroup) -> OracleReport:
         ("left", group._lmul, lambda y: reversed(y.word)),
     )
     for J in subsets_of(group.simple_indices):
-        wj = group.parabolic_elements(J)
         # each coset is built once, literally, and shared by its members:
         # per side, coset_of[w] is (the coset of w, its minimal-length elements)
         coset_of = {side: [None] * group.order for side, _, _ in sides}
@@ -389,7 +380,8 @@ def check_coset_minimality(group: WeylGroup) -> OracleReport:
                 r = group.min_coset_rep(w, J, side)
                 found = coset_of[side]
                 if found[w.index] is None:
-                    coset = {_walk(table, w.index, letters(x)) for x in wj}
+                    # w x^-1 (right side) or x w (left side) for every x in W_J
+                    coset = set(group._sweep(J, w.index, **{side: table}))
                     low = min(length[e] for e in coset)
                     entry = (coset, [e for e in coset if length[e] == low])
                     for e in coset:
@@ -436,6 +428,7 @@ def check_parabolic_restriction(group: WeylGroup) -> OracleReport:
     rep = OracleReport("parabolic-restriction")
     rs = group.root_system
     all_subsets = subsets_of(group.simple_indices)
+    w1s: dict[tuple[frozenset[int], int], WeylElement] = {}  # (K, w) -> min(w W_K)
     images: dict[tuple[frozenset[int], int], frozenset[int]] = {}  # (K, w1) -> w1(Phi_K)
     for J in all_subsets:
         phi_j = rs.parabolic_root_indices(J)
@@ -444,7 +437,9 @@ def check_parabolic_restriction(group: WeylGroup) -> OracleReport:
             for w in group.min_coset_reps(J, "left"):
                 rep.instances_checked += 1
                 j1 = parabolic_restriction_type(group, J, K, w)
-                w1 = group.min_coset_rep(w, K, "right")
+                w1 = w1s.get((K, w.index))
+                if w1 is None:
+                    w1 = w1s[K, w.index] = group.min_coset_rep(w, K, "right")
                 image = images.get((K, w1.index))
                 if image is None:
                     image = images[K, w1.index] = frozenset(w1.root_image(r) for r in phi_k)
@@ -472,15 +467,13 @@ def check_class_partition(tc: TwistedConjugation, J) -> OracleReport:
     """Classes tile the group and match their literal double-loop recomputation."""
     rep = OracleReport("class-partition")
     g = tc.group
-    lmul, rmul = g._lmul, g._rmul
     classes = tc.class_decomposition(frozenset(J))
-    twists = _twist_words(tc, J)
     seen: set[int] = set()
     for cls in classes:
         rep.instances_checked += 1
-        wk = g.parabolic_elements(cls.stabilizer_set)
-        bases = [_walk(rmul, cls.base.index, v.word) for v in wk]  # base v
-        literal = {_walk(rmul, _walk(lmul, y, dx), xi) for dx, xi in twists for y in bases}
+        # base v for every v in W_K, swept as base x^-1 for x in W_K
+        bases = g._sweep(cls.stabilizer_set, cls.base.index, right=g._rmul)
+        literal = {z for y in bases for z in g._sweep(J, y, tc._dlmul, g._rmul)}
         members = {m.index for m in cls.members}
         if literal != members:
             rep.record(

@@ -137,9 +137,16 @@ def stable_support(w: WeylElement, delta: DiagramAutomorphism) -> frozenset[int]
 
 def simple_image(w: WeylElement, k: int) -> int | None:
     """The j with w(alpha_k) = alpha_j, or None when w(alpha_k) is not simple."""
-    rs = w.group.root_system
-    coords = rs.roots[w.root_image(rs.simple_root_index(k))].coords
-    return coords.index(1) + 1 if sum(coords) == 1 else None  # height 1: simple
+    # w s_k w^-1 is the reflection in w(alpha_k), so w(alpha_k) = +-alpha_j
+    # iff w s_k = s_j w, and the sign is + iff l(w s_k) > l(w)
+    g, x = w.group, w.index
+    y = g._rmul[k][x]
+    if y > x:
+        lmul = g._lmul
+        for j in range(1, g.rank + 1):
+            if lmul[j][x] == y:
+                return j
+    return None
 
 
 _UNSEEN = 0xFFFFFFFF  # part number of an index the walk has not reached
@@ -225,6 +232,8 @@ class TwistedConjugation:
             raise ValueError("group and automorphism use different root systems")
         self.group = group
         self.delta = delta
+        # _lmul relabelled by delta: _dlmul[i] is the left table of s_d(i)
+        self._dlmul = (group._lmul[0],) + tuple(group._lmul[delta(i)] for i in group.simple_indices)
         self._delta_cache: dict[int, WeylElement] = {}
         self._orbit_cache: dict[frozenset[int], tuple[tuple[TwistedOrbit, ...], array]] = {}
         self._stab_cache: dict[tuple[frozenset[int], int], frozenset[int]] = {}
@@ -237,8 +246,7 @@ class TwistedConjugation:
     def _twist_steps(self, J) -> list[tuple]:
         """Per j in J, the tables (left s_d(j), right s_j): y -> s_d(j) y s_j
         is r[dl[y]] on element indices."""
-        g = self.group
-        return [(g._lmul[self.delta(j)], g._rmul[j]) for j in sorted(J)]
+        return [(self._dlmul[j], self.group._rmul[j]) for j in sorted(J)]
 
     def delta_apply(self, w: WeylElement) -> WeylElement:
         cached = self._delta_cache.get(w.index)
@@ -329,7 +337,8 @@ class TwistedConjugation:
         out = []
         for w in g.min_coset_reps(J, "right"):
             K = self.stabilizer_type(J, w)
-            oids = {orbit_of[(w * v).index] for v in g.parabolic_elements(K)}
+            # w W_K, swept as w x^-1 for x in W_K
+            oids = {orbit_of[y] for y in g._sweep(K, w.index, right=g._rmul)}
             members = sorted(k for oid in oids for k in orbits[oid].member_indices)
             out.append(TwistClass(w, K, tuple(map(elems.__getitem__, members))))
         return tuple(out)
@@ -409,37 +418,28 @@ class TwistedConjugation:
         # The relation is symmetric: twisting z = d(x) w x^-1 by x^-1 gives
         # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
         # length additivity over to the reverse step.
-        # Products walk element indices: d(x) on the left through _lmul (its
-        # word reversed), x^-1 on the right through _rmul.
+        # Per element w, one sweep of the W_J tree (as in WeylGroup._sweep)
+        # gives d(x) w, w x^-1 and d(x) w x^-1 for every x in W_J, each from
+        # its parent's values.
         g = self.group
-        lmul, rmul = g._lmul, g._rmul
-        length = g._length
-        xs = [
-            (x.length, tuple(reversed(self.delta_apply(x).word)), x.inverse().word)
-            for x in g.parabolic_elements(J)
-        ]
+        dl, rmul, length = self._dlmul, g._rmul, g._length
+        lxs = [x.length for x in g.parabolic_elements(J)]
+        steps = g._parabolic_tree(J)[1:]
 
         def twists(k: int) -> list[int]:
+            dxw, wxi, z = [k], [k], [k]
+            for p, f in steps:
+                left, right = dl[f], rmul[f]
+                dxw.append(left[dxw[p]])
+                wxi.append(right[wxi[p]])
+                z.append(right[left[z[p]]])
             lw = length[k]
-            out = []
-            for lx, dx, xi in xs:
-                z = k
-                for i in dx:
-                    z = lmul[i][z]
-                if length[z] == lx + lw:  # d(x) w is length-additive
-                    for i in xi:
-                        z = rmul[i][z]
-                else:
-                    z = k
-                    for i in xi:
-                        z = rmul[i][z]
-                    if length[z] != lx + lw:  # neither is
-                        continue
-                    for i in dx:
-                        z = lmul[i][z]
-                if length[z] == lw:
-                    out.append(z)
-            return out
+            # length-preserving, and d(x) w or w x^-1 is length-additive
+            return [
+                v
+                for v, a, b, lx in zip(z, dxw, wxi, lxs)
+                if length[v] == lw and lw + lx in (length[a], length[b])
+            ]
 
         comp = _components(g.order, twists)[1]
         self._strong_cache[J] = comp

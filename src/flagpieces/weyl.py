@@ -12,9 +12,12 @@ its reduced word is derived then, by stepping down through the smallest left
 descents. Elements multiply by walking a reduced word through the tables;
 since the order is by length first, a table entry larger than its argument is
 a length-increasing step, which decides descents and coset minimality and
-grows coset representatives from the identity. Root images walk a reduced
-word through the simple reflections of the root system. The Bruhat covering
-digraph and its reachability closure are built on demand.
+grows coset representatives from the identity. A parabolic subgroup W_J is
+also kept as a prefix tree, each element below the one without its smallest
+left descent, so a product by every element of W_J takes one table step per
+element (`_sweep`). Root images walk a reduced word through the simple
+reflections of the root system. The Bruhat covering digraph and its
+reachability closure are built on demand.
 """
 
 from __future__ import annotations
@@ -236,6 +239,7 @@ class WeylGroup:
         self.identity: WeylElement = self.elements[0]
         self._simple = tuple(self.elements[lm[0]] for lm in left)
         self._parabolic_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
+        self._tree_cache: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
         self._reps_cache: dict[tuple, tuple[WeylElement, ...]] = {}
 
     # -- basic structure ----------------------------------------------------
@@ -304,21 +308,51 @@ class WeylGroup:
         cached = self._parabolic_cache.get(J)
         if cached is not None:
             return cached
-        gens = [self.simple_reflection(j) for j in sorted(J)]
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    u = w * g
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        out = tuple(sorted(seen, key=lambda e: e.index))
-        self._parabolic_cache[J] = out
+        # x != e in W_J is s_f x' with f = _first[x] in J and x' in W_J, so
+        # the steps x' -> s_j x' that land on an x with _first[x] = j reach
+        # each element of W_J once from the identity
+        lmul, first = self._lmul, self._first
+        found = [0]
+        for x in found:  # found grows while it is walked
+            found.extend(lmul[j][x] for j in J if first[lmul[j][x]] == j)
+        out = self._parabolic_cache[J] = tuple(map(self.elements.__getitem__, sorted(found)))
         return out
+
+    def _parabolic_tree(self, subset) -> tuple[tuple[int, int], ...]:
+        """W_J as a prefix tree: per x in parabolic_elements(J), in that order,
+        (position of s_f x, f) for f = _first[x]; the identity, first, has
+        (0, 0). f is a left descent of x, so it lies in J, and s_f x is a
+        shorter element of W_J, so it comes earlier."""
+        J = frozenset(subset)
+        tree = self._tree_cache.get(J)
+        if tree is None:
+            lmul, first = self._lmul, self._first
+            xs = [x.index for x in self.parabolic_elements(J)]
+            pos = {x: k for k, x in enumerate(xs)}
+            tree = self._tree_cache[J] = ((0, 0),) + tuple(
+                (pos[lmul[first[x]][x]], first[x]) for x in xs[1:]
+            )
+        return tree
+
+    def _sweep(self, subset, y: int, left=None, right=None) -> list[int]:
+        """Per x in W_J, in the order of parabolic_elements(J), the index of
+        L(x) y R(x)^-1, where left and right are tables indexed by a letter
+        like _lmul and _rmul (left=_lmul gives x y, right=_rmul gives y x^-1).
+        With x = s_f x', each value is one or two table steps from the value
+        at x', its parent in the tree."""
+        vals = [y]
+        append = vals.append
+        steps = self._parabolic_tree(subset)[1:]
+        if right is None:
+            for p, f in steps:
+                append(left[f][vals[p]])
+        elif left is None:
+            for p, f in steps:
+                append(right[f][vals[p]])
+        else:
+            for p, f in steps:
+                append(right[f][left[f][vals[p]]])
+        return vals
 
     def in_parabolic(self, w: WeylElement, subset) -> bool:
         """Whether w lies in W_J (every letter of a reduced word is in J)."""

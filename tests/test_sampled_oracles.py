@@ -1,9 +1,9 @@
 """Seeded differential tests past the exhaustive acceptance scope.
 
 Hypothesis samples (type, delta, J) from F4, D5 and B5, keeping J with at
-most 200 pieces, and runs the order-axiom, closure-agreement, class-partition
-and strong-conjugacy oracles on each sample. The run is derandomized and
-keeps no example database.
+most 200 pieces, and runs the order-axiom, closure-agreement, class-partition,
+strong-conjugacy and sequence-bijection oracles on each sample. The run is
+derandomized and keeps no example database.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from flagpieces.oracle import (  # noqa: E402
     check_class_partition,
     check_closure_agreement,
     check_order_axioms,
+    check_sequence_bijection,
     check_strong_conjugacy,
     subsets_of,
 )
@@ -43,3 +44,5 @@ def test_sampled_closure_poset_agrees_with_oracles(tc_of, config, data):
     assert classes.passed, classes.failures
     strong = check_strong_conjugacy(tc, J)
     assert strong.passed, strong.failures
+    sequences = check_sequence_bijection(tc, J)
+    assert sequences.passed, sequences.failures

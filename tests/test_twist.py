@@ -11,7 +11,7 @@ from flagpieces.oracle import (
     check_strong_conjugacy,
     subsets_of,
 )
-from flagpieces.twist import AutomorphismError, DiagramAutomorphism, delta_on_element
+from flagpieces.twist import AutomorphismError, DiagramAutomorphism, delta_on_element, simple_image
 
 
 def _delta(group, spec):
@@ -324,6 +324,29 @@ def test_delta_apply_matches_root_conjugation(tc_of, label, spec):
     for w, p in perms.items():
         expected = by_perm[tuple(rp[p[inv[r]]] for r in range(len(rp)))]
         assert tc.delta_apply(w) is expected
+
+
+@pytest.mark.parametrize("label,spec", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])
+def test_twisted_sweep_matches_products(tc_of, label, spec):
+    # d(x) y x^-1 for every x in W_J, against delta_apply and the products
+    tc = tc_of(label, spec)
+    g = tc.group
+    for J in subsets_of(g.simple_indices):
+        pairs = [(tc.delta_apply(x), x.inverse()) for x in g.parabolic_elements(J)]
+        for y in g.elements:
+            assert g._sweep(J, y.index, tc._dlmul, g._rmul) == [(dx * y * xi).index for dx, xi in pairs]
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4"}))
+def test_simple_image_matches_root_images(group_of, label):
+    # w(alpha_k) by the root permutation composed along the reduced word
+    g = group_of(label)
+    rs = g.root_system
+    simple = {rs.simple_root_index(j): j for j in g.simple_indices}
+    for w in g.elements:
+        p = root_perm(w)
+        for k in g.simple_indices:
+            assert simple_image(w, k) == simple.get(p[rs.simple_root_index(k)])
 
 
 @pytest.mark.parametrize("label", ["D4", "F4"])

@@ -305,6 +305,36 @@ def test_parabolic_elements(group_of):
         assert set(x.word) <= {1, 3}
 
 
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE}))
+def test_parabolic_tree_is_a_prefix_tree(group_of, label):
+    # one entry per x in W_J, in parabolic_elements order: the position of
+    # s_f x and f, the smallest left descent of x, which lies in J
+    g = group_of(label)
+    for J in subsets_of(g.simple_indices):
+        wj = g.parabolic_elements(J)
+        assert list(wj) == [w for w in g.elements if set(w.word) <= J]
+        tree = g._parabolic_tree(J)
+        assert len(tree) == len(wj)
+        assert tree[0] == (0, 0)
+        for k, ((p, f), x) in enumerate(zip(tree[1:], wj[1:]), 1):
+            descents = [i for i in g.simple_indices if (g.simple_reflection(i) * x).length < x.length]
+            assert f == min(descents) and f in J
+            assert p < k and wj[p] == g.simple_reflection(f) * x
+        assert g._sweep(J, 0, left=g._lmul) == [x.index for x in wj]
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4"])
+def test_parabolic_sweeps_match_products(group_of, label):
+    # x y and y x^-1 for every x in W_J, against the word-walking product
+    g = group_of(label)
+    for J in subsets_of(g.simple_indices):
+        wj = g.parabolic_elements(J)
+        inverses = [x.inverse() for x in wj]
+        for y in g.elements:
+            assert g._sweep(J, y.index, left=g._lmul) == [(x * y).index for x in wj]
+            assert g._sweep(J, y.index, right=g._rmul) == [(y * xi).index for xi in inverses]
+
+
 def test_word_round_trip(group_of):
     g = group_of("A3")
     for w in g.elements:
