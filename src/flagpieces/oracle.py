@@ -209,7 +209,6 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
     the Bruhat up-sets of those v.
     """
     g = tc.group
-    J = frozenset(J)
     reach, length = g._bruhat_up_reach, g._length
     reps = g.min_coset_reps(J, "right")
     # the minima of every orbit, laid end to end; spans[b] delimits those of reps[b]
@@ -290,9 +289,7 @@ def delta_stable_subsets(tc: TwistedConjugation) -> list[frozenset[int]]:
 def irreducible_oracle(tc: TwistedConjugation, J, w: WeylElement) -> bool:
     """A piece is reducible iff some delta-stable proper subset of I contains
     the support of its label together with its stabilizer type."""
-    g = tc.group
-    J = frozenset(J)
-    full = frozenset(g.simple_indices)
+    full = frozenset(tc.group.simple_indices)
     K = tc.stabilizer_type(J, w.inverse())
     need = support(w) | K
     return not any(
@@ -467,7 +464,7 @@ def check_class_partition(tc: TwistedConjugation, J) -> OracleReport:
     """Classes tile the group and match their literal double-loop recomputation."""
     rep = OracleReport("class-partition")
     g = tc.group
-    classes = tc.class_decomposition(frozenset(J))
+    classes = tc.class_decomposition(J)
     seen: set[int] = set()
     for cls in classes:
         rep.instances_checked += 1
@@ -494,7 +491,7 @@ def check_orbit_minimality(tc: TwistedConjugation, J) -> OracleReport:
     """In each twisted orbit the Bruhat-minimal and length-minimal sets agree."""
     rep = OracleReport("orbit-minimality")
     g = tc.group
-    orbits, _ = tc.orbit_partition(frozenset(J))
+    orbits, _ = tc.orbit_partition(J)
     for orbit in orbits:
         rep.instances_checked += 1
         members = orbit.members
@@ -515,7 +512,6 @@ def check_strong_conjugacy(tc: TwistedConjugation, J) -> OracleReport:
     shift class whenever the orbit meets W^J."""
     rep = OracleReport("strong-conjugacy")
     g = tc.group
-    J = frozenset(J)
     orbits, _ = tc.orbit_partition(J)
     for orbit in orbits:
         mins = orbit.min_elements
@@ -594,7 +590,7 @@ def check_sequence_bijection(tc: TwistedConjugation, J) -> OracleReport:
 def check_order_axioms(tc: TwistedConjugation, J) -> OracleReport:
     """Poset axioms plus representative-independence of the twisted order."""
     rep = OracleReport("order-axioms")
-    poset = pieces_mod.closure_poset(tc, frozenset(J))
+    poset = pieces_mod.closure_poset(tc, J)
     try:
         _check_representative_independence(tc.group, poset)
         _check_partial_order(poset.leq_rows)

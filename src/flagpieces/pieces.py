@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .rootsys import memoized
 from .twist import TwistedConjugation, simple_image, stable_support
 from .weyl import WeylElement, WeylGroup
 
@@ -200,6 +201,7 @@ def piece_records(tc: TwistedConjugation, J) -> tuple[PieceRecord, ...]:
     return tuple(out)
 
 
+@memoized
 def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
     """Closure order on pieces: a below b iff a^-1 twisted-below b^-1.
 
@@ -209,12 +211,8 @@ def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
     checks that every minimal element of that orbit gives the same bit and that
     the rows form a partial order. The covers of a are the b above a that lie
     above no other c strictly above a: above(a) minus the OR of the rows of
-    those c. Memoized per J on tc, like its orbit partitions.
+    those c. Memoized per J in tc's `_memo`, like its orbit partitions.
     """
-    J = frozenset(J)
-    cached = tc._poset_cache.get(J)
-    if cached is not None:
-        return cached
     g = tc.group
     records = piece_records(tc, J)
     targets = [1 << rec.orbit_min[0].index for rec in records]
@@ -229,14 +227,12 @@ def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
         for c in _bits(above):
             through |= rows[c] & ~(1 << c)
         hasse.extend((a, b) for b in _bits(above & ~through))
-    poset = tc._poset_cache[J] = ClosurePoset(J, records, tuple(rows), tuple(hasse))
-    return poset
+    return ClosurePoset(J, records, tuple(rows), tuple(hasse))
 
 
 def piece_closure(tc: TwistedConjugation, J, w: WeylElement) -> tuple[WeylElement, ...]:
     """Labels of the pieces inside the closure of the stratum attached to w."""
     g = tc.group
-    J = frozenset(J)
     winv = w.inverse()
     return tuple(
         b
@@ -267,11 +263,16 @@ def parabolic_restriction_type(group: WeylGroup, J, K, w: WeylElement) -> frozen
     `oracle.check_parabolic_restriction` checks the root-level identity
     Phi_J1 = Phi_J intersect w1(Phi_K).
     """
-    J, K = frozenset(J), frozenset(K)
+    J = frozenset(J)
     if not group.is_min_right_rep(w, J):
         raise ValueError(f"w = {w!r} is not in ^JW for J={sorted(J)}")
-    w1 = group.min_coset_rep(w, K, "right")
-    return J & simple_image_subset(w1, K)
+    return J & _restricted_image(group, K, group.min_coset_rep(w, K, "right"))
+
+
+@memoized
+def _restricted_image(group: WeylGroup, K, w1: WeylElement) -> frozenset[int]:
+    """simple_image_subset(w1, K) for w1 in W^K, memoized per (K, w1)."""
+    return simple_image_subset(w1, K)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -28,6 +28,30 @@ _RANK_BOUNDS = {
 }
 
 _LABEL_RE = re.compile(r"^([A-G])([0-9]+)$")
+
+
+def memoized(fn):
+    """Memoize fn(owner, J, *args, **kwargs) in the dict owner._memo.
+
+    J, passed by position, is keyed and passed on as frozenset(J); the other
+    arguments are keyed as given. A call that raises stores nothing; a None
+    result is stored. The fill takes no lock: two threads racing on one key
+    may both call fn, and one result is kept.
+    """
+
+    @wraps(fn)
+    def wrapper(owner, J, *args, **kwargs):
+        J = frozenset(J)
+        # on CPython 3.11, (fn, J) + args builds faster than (fn, J, *args)
+        key = (fn, J) + args + tuple(kwargs.items()) if kwargs else (fn, J) + args
+        try:
+            return owner._memo[key]
+        except KeyError:
+            pass
+        out = owner._memo[key] = fn(owner, J, *args, **kwargs)
+        return out
+
+    return wrapper
 
 
 class CartanError(ValueError):
@@ -244,7 +268,7 @@ class RootSystem:
     Immutable after construction: roots are listed positives first (sorted by
     height, then coordinates), then the negatives in mirrored order, so the
     negation of root r is root (r + n_positive) mod (2 * n_positive). The only
-    state added later is the memo of Levi root sets, filled on first query.
+    state added later is `_memo`, the Levi root sets filled on first query.
     """
 
     def __init__(self, datum: CartanDatum, positives: list[tuple[int, ...]]):
@@ -270,7 +294,7 @@ class RootSystem:
             i + 1: self.index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         }
-        self._parabolic_roots: dict[tuple[frozenset[int], bool], frozenset[int]] = {}
+        self._memo: dict = {}
 
     def __repr__(self) -> str:
         return f"RootSystem({self.datum.label}, {self.n_positive} positive roots)"
@@ -310,19 +334,15 @@ class RootSystem:
             raise ArithmeticError(f"non-integral coroot pairing for roots {r}, {s}")
         return int(val)
 
+    @memoized
     def parabolic_root_indices(self, subset, positive_only: bool = False) -> frozenset[int]:
         """Indices of roots supported on the simple-index subset (memoized)."""
-        key = (frozenset(subset), bool(positive_only))
-        found = self._parabolic_roots.get(key)
-        if found is None:
-            sub = key[0]
-            found = self._parabolic_roots[key] = frozenset(
-                k
-                for k, root in enumerate(self.roots)
-                if (not positive_only or self.is_positive_index(k))
-                and all(c == 0 or (i + 1) in sub for i, c in enumerate(root.coords))
-            )
-        return found
+        return frozenset(
+            k
+            for k, root in enumerate(self.roots)
+            if (not positive_only or self.is_positive_index(k))
+            and all(c == 0 or (i + 1) in subset for i, c in enumerate(root.coords))
+        )
 
 
 def _reflect_coords(a, i: int, coords: tuple[int, ...]) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, memoized
 from .weyl import WeylElement, WeylGroup
 
 
@@ -187,6 +187,10 @@ class TwistedOrbit:
     member_indices: array
     n_min: int
 
+    def __hash__(self) -> int:
+        # equal orbits have equal members; an array is not hashable
+        return hash((self.member_indices[0], self.n_min, len(self.member_indices)))
+
     @property
     def members(self) -> tuple[WeylElement, ...]:
         return tuple(map(self.group.elements.__getitem__, self.member_indices))
@@ -222,9 +226,10 @@ class TwistedConjugation:
     """The twisted conjugation action of parabolic subgroups on a Weyl group.
 
     Frozen inputs (group table and diagram automorphism) are shared; per-J
-    results (orbit partitions, shift digraphs, stabilizer types, closure
-    posets) are memoized on this object, so reuse one instance per
-    (group, delta) pair.
+    results (orbit partitions, stabilizer types, shift digraphs and their
+    components, strong-conjugacy classes, distinguished forms, and
+    `pieces.closure_poset`) are memoized in this object's `_memo` dict by
+    `rootsys.memoized`, so reuse one instance per (group, delta) pair.
     """
 
     def __init__(self, group: WeylGroup, delta: DiagramAutomorphism):
@@ -234,14 +239,7 @@ class TwistedConjugation:
         self.delta = delta
         # _lmul relabelled by delta: _dlmul[i] is the left table of s_d(i)
         self._dlmul = (group._lmul[0],) + tuple(group._lmul[delta(i)] for i in group.simple_indices)
-        self._delta_cache: dict[int, WeylElement] = {}
-        self._orbit_cache: dict[frozenset[int], tuple[tuple[TwistedOrbit, ...], array]] = {}
-        self._stab_cache: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-        self._scc_cache: dict[frozenset[int], tuple[tuple[tuple[WeylElement, ...], ...], array]] = {}
-        self._adj_cache: dict[frozenset[int], list[tuple[int, ...]]] = {}
-        self._strong_cache: dict[frozenset[int], array] = {}
-        self._dist_cache: dict[frozenset[int], dict[int, tuple[WeylElement, WeylElement] | None]] = {}
-        self._poset_cache: dict = {}  # J -> pieces.ClosurePoset, filled by pieces.closure_poset
+        self._memo: dict = {}
 
     def _twist_steps(self, J) -> list[tuple]:
         """Per j in J, the tables (left s_d(j), right s_j): y -> s_d(j) y s_j
@@ -249,10 +247,7 @@ class TwistedConjugation:
         return [(self._dlmul[j], self.group._rmul[j]) for j in sorted(J)]
 
     def delta_apply(self, w: WeylElement) -> WeylElement:
-        cached = self._delta_cache.get(w.index)
-        if cached is None:
-            cached = self._delta_cache[w.index] = delta_on_element(self.delta, w)
-        return cached
+        return delta_on_element(self.delta, w)
 
     def twisted_conjugate(self, x: WeylElement, y: WeylElement, J) -> WeylElement:
         """d(x) y x^-1 for x in W_J."""
@@ -262,6 +257,7 @@ class TwistedConjugation:
 
     # -- orbits ---------------------------------------------------------------
 
+    @memoized
     def orbit_partition(self, J) -> tuple[tuple[TwistedOrbit, ...], array]:
         """All twisted W_J-orbits, ordered by smallest member, and the
         array('I') giving each element index the position of its orbit.
@@ -270,25 +266,19 @@ class TwistedConjugation:
         for j in J; each step is an involution and the steps generate the
         action.
         """
-        J = frozenset(J)
-        cached = self._orbit_cache.get(J)
-        if cached is not None:
-            return cached
         g = self.group
         length = g._length
         steps = self._twist_steps(J)
         parts, orbit_of = _components(g.order, lambda y: [r[dl[y]] for dl, r in steps])
         # a part ascends by index, so by length: its minima are the run of
         # members as short as the first
-        out = (
+        return (
             tuple(
                 TwistedOrbit(g, part, bisect_right(part, length[part[0]], key=length.__getitem__))
                 for part in parts
             ),
             orbit_of,
         )
-        self._orbit_cache[J] = out
-        return out
 
     def orbit(self, y: WeylElement, J) -> TwistedOrbit:
         """The twisted W_J-orbit of y."""
@@ -300,17 +290,13 @@ class TwistedConjugation:
 
     # -- stabilizer type -------------------------------------------------------
 
+    @memoized
     def stabilizer_type(self, J, w: WeylElement) -> frozenset[int]:
         """Largest K inside J with w({alpha_k : k in K}) = {alpha_d(k) : k in K}.
 
         w must be minimal in w W_J; computed as the greatest fixpoint of
         K -> {k in K : w(alpha_k) is a simple root alpha_j with j in d(K)}.
         """
-        J = frozenset(J)
-        key = (J, w.index)
-        cached = self._stab_cache.get(key)
-        if cached is not None:
-            return cached
         g = self.group
         if not g.is_min_left_rep(w, J):
             raise ValueError(f"w = {w!r} is not a minimal coset representative for J={sorted(J)}")
@@ -322,15 +308,12 @@ class TwistedConjugation:
             if kept == K:
                 break
             K = kept
-        out = frozenset(K)
-        self._stab_cache[key] = out
-        return out
+        return frozenset(K)
 
     # -- class decomposition ---------------------------------------------------
 
     def class_decomposition(self, J) -> tuple[TwistClass, ...]:
         """The classes [w]_J = W_J . (w W_K), one per w in W^J; they tile W."""
-        J = frozenset(J)
         g = self.group
         elems = g.elements
         orbits, orbit_of = self.orbit_partition(J)
@@ -353,19 +336,15 @@ class TwistedConjugation:
         z = self.delta_apply(g.simple_reflection(j)) * w * g.simple_reflection(j)
         return z if z.length <= w.length else None
 
+    @memoized
     def _shift_adjacency(self, J) -> list[tuple[int, ...]]:
         """Per element index, the shift steps that do not raise length."""
-        J = frozenset(J)
-        cached = self._adj_cache.get(J)
-        if cached is not None:
-            return cached
         length = self.group._length
         steps = self._twist_steps(J)
         adj: list[tuple[int, ...]] = []
         for w in range(self.group.order):
             targets = {r[dl[w]] for dl, r in steps}
             adj.append(tuple(sorted(z for z in targets if length[z] <= length[w])))
-        self._adj_cache[J] = adj
         return adj
 
     def shift_reachable(self, w: WeylElement, J) -> tuple[WeylElement, ...]:
@@ -386,16 +365,14 @@ class TwistedConjugation:
         """Mutual-shift classes, ordered by smallest member: the strongly
         connected components of the shift digraph, found as the connected
         components of its length-preserving edges."""
-        return self._scc(frozenset(J))[0]
+        return self._scc(J)[0]
 
     def same_shift_class(self, w: WeylElement, w2: WeylElement, J) -> bool:
-        comp = self._scc(frozenset(J))[1]
+        comp = self._scc(J)[1]
         return comp[w.index] == comp[w2.index]
 
+    @memoized
     def _scc(self, J: frozenset[int]):
-        cached = self._scc_cache.get(J)
-        if cached is not None:
-            return cached
         # A shift step by j is an involution, so a length-preserving edge
         # comes with its reverse, and no cycle can contain a length-dropping
         # edge: the strongly connected components are the connected
@@ -405,16 +382,12 @@ class TwistedConjugation:
         parts, comp = _components(
             len(adj), lambda u: [v for v in adj[u] if length[v] == length[u]]
         )
-        out = (tuple(tuple(map(elems.__getitem__, part)) for part in parts), comp)
-        self._scc_cache[J] = out
-        return out
+        return tuple(tuple(map(elems.__getitem__, part)) for part in parts), comp
 
     # -- strong conjugacy ----------------------------------------------------------
 
+    @memoized
     def _strong_components(self, J: frozenset[int]) -> array:
-        cached = self._strong_cache.get(J)
-        if cached is not None:
-            return cached
         # The relation is symmetric: twisting z = d(x) w x^-1 by x^-1 gives
         # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
         # length additivity over to the reverse step.
@@ -441,30 +414,23 @@ class TwistedConjugation:
                 if length[v] == lw and lw + lx in (length[a], length[b])
             ]
 
-        comp = _components(g.order, twists)[1]
-        self._strong_cache[J] = comp
-        return comp
+        return _components(g.order, twists)[1]
 
     def strongly_conjugate(self, w: WeylElement, w2: WeylElement, J) -> bool:
         """Whether w ~ w2: a chain of length-preserving, length-additive twists."""
-        comp = self._strong_components(frozenset(J))
+        comp = self._strong_components(J)
         return comp[w.index] == comp[w2.index]
 
     # -- reduction to distinguished form -----------------------------------------
 
+    @memoized
     def _distinguished_form(self, J: frozenset[int], u: WeylElement):
-        """(label, tail) if u = label * tail with label in W^J and tail in W_K."""
-        cache = self._dist_cache.setdefault(J, {})
-        if u.index in cache:
-            return cache[u.index]
-        g = self.group
-        label = g.min_coset_rep(u, J, "right")
+        """(label, tail) if u = label * tail, label in W^J and tail in W_K; else None."""
+        label = self.group.min_coset_rep(u, J, "right")
         tail = label.inverse() * u
-        out = None
         if set(tail.word) <= self.stabilizer_type(J, label):
-            out = (label, tail)
-        cache[u.index] = out
-        return out
+            return label, tail
+        return None
 
     def reduce_to_distinguished(self, w: WeylElement, J) -> Reduction:
         """Shift w down to some label * tail with the tail in the stabilizer type.

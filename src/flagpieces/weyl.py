@@ -27,7 +27,7 @@ from array import array
 from functools import cached_property
 from typing import Iterable
 
-from .rootsys import CartanDatum, RootSystem, build_root_system
+from .rootsys import CartanDatum, RootSystem, build_root_system, memoized
 
 # Default enumeration ceiling: admits every exceptional type up to E7
 # (order 2,903,040); E8 requires an explicit override.
@@ -238,9 +238,7 @@ class WeylGroup:
         self.elements: _Elements = _Elements(self)
         self.identity: WeylElement = self.elements[0]
         self._simple = tuple(self.elements[lm[0]] for lm in left)
-        self._parabolic_cache: dict[frozenset[int], tuple[WeylElement, ...]] = {}
-        self._tree_cache: dict[frozenset[int], tuple[tuple[int, int], ...]] = {}
-        self._reps_cache: dict[tuple, tuple[WeylElement, ...]] = {}
+        self._memo: dict = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -302,37 +300,28 @@ class WeylGroup:
             else:
                 return self.elements[x]
 
+    @memoized
     def parabolic_elements(self, subset) -> tuple[WeylElement, ...]:
         """All elements of the standard parabolic subgroup W_J, in group order."""
-        J = frozenset(subset)
-        cached = self._parabolic_cache.get(J)
-        if cached is not None:
-            return cached
         # x != e in W_J is s_f x' with f = _first[x] in J and x' in W_J, so
         # the steps x' -> s_j x' that land on an x with _first[x] = j reach
         # each element of W_J once from the identity
         lmul, first = self._lmul, self._first
         found = [0]
         for x in found:  # found grows while it is walked
-            found.extend(lmul[j][x] for j in J if first[lmul[j][x]] == j)
-        out = self._parabolic_cache[J] = tuple(map(self.elements.__getitem__, sorted(found)))
-        return out
+            found.extend(lmul[j][x] for j in subset if first[lmul[j][x]] == j)
+        return tuple(map(self.elements.__getitem__, sorted(found)))
 
+    @memoized
     def _parabolic_tree(self, subset) -> tuple[tuple[int, int], ...]:
         """W_J as a prefix tree: per x in parabolic_elements(J), in that order,
         (position of s_f x, f) for f = _first[x]; the identity, first, has
         (0, 0). f is a left descent of x, so it lies in J, and s_f x is a
         shorter element of W_J, so it comes earlier."""
-        J = frozenset(subset)
-        tree = self._tree_cache.get(J)
-        if tree is None:
-            lmul, first = self._lmul, self._first
-            xs = [x.index for x in self.parabolic_elements(J)]
-            pos = {x: k for k, x in enumerate(xs)}
-            tree = self._tree_cache[J] = ((0, 0),) + tuple(
-                (pos[lmul[first[x]][x]], first[x]) for x in xs[1:]
-            )
-        return tree
+        lmul, first = self._lmul, self._first
+        xs = [x.index for x in self.parabolic_elements(subset)]
+        pos = {x: k for k, x in enumerate(xs)}
+        return ((0, 0),) + tuple((pos[lmul[first[x]][x]], first[x]) for x in xs[1:])
 
     def _sweep(self, subset, y: int, left=None, right=None) -> list[int]:
         """Per x in W_J, in the order of parabolic_elements(J), the index of
@@ -358,13 +347,9 @@ class WeylGroup:
         """Whether w lies in W_J (every letter of a reduced word is in J)."""
         return set(w.word) <= set(subset)
 
+    @memoized
     def min_coset_reps(self, subset, side: str = "right") -> tuple[WeylElement, ...]:
         """W^J (side="right": minimal in w W_J) or ^JW (side="left")."""
-        J = frozenset(subset)
-        key = (side, J)
-        cached = self._reps_cache.get(key)
-        if cached is not None:
-            return cached
         # ^JW is closed under prefixes of reduced words and W^J under suffixes
         # (Bjorner-Brenti, GTM 231, 2.4), so each grows from the identity by
         # length-increasing steps that stay inside it: ^JW by w -> w s_i
@@ -381,23 +366,15 @@ class WeylGroup:
             x = stack.pop()
             for i in self.simple_indices:
                 y = grow[i][x]
-                if y > x and y not in found and all(test[j][y] > y for j in J):
+                if y > x and y not in found and all(test[j][y] > y for j in subset):
                     found.add(y)
                     stack.append(y)
-        out = tuple(self.elements[x] for x in sorted(found))
-        self._reps_cache[key] = out
-        return out
+        return tuple(self.elements[x] for x in sorted(found))
 
     def min_double_coset_reps(self, left_subset, right_subset) -> tuple[WeylElement, ...]:
         """^JW^K: minimal representatives of W_J \\ W / W_K."""
-        J, K = frozenset(left_subset), frozenset(right_subset)
-        key = ("double", J, K)
-        cached = self._reps_cache.get(key)
-        if cached is not None:
-            return cached
-        out = tuple(e for e in self.min_coset_reps(J, "left") if self.is_min_left_rep(e, K))
-        self._reps_cache[key] = out
-        return out
+        reps = self.min_coset_reps(left_subset, "left")
+        return tuple(e for e in reps if self.is_min_left_rep(e, right_subset))
 
     def double_coset_rep(self, w: WeylElement, left_subset, right_subset) -> WeylElement:
         """The unique element of ^JW^K inside W_J w W_K."""

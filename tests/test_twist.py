@@ -456,3 +456,53 @@ def test_shift_adjacency_is_built_once_per_subset(group_of, monkeypatch):
     assert builds == [J]
     tc.shift_reachable(g.identity, {2})
     assert builds == [J, frozenset({2})]
+
+
+def test_per_subset_memo_keys_subset_as_a_set(group_of):
+    g = group_of("A3")
+    tc = fp.TwistedConjugation(g, _delta(g, "flip"))
+    orbits = tc.orbit_partition({1, 2})
+    poset = fp.closure_poset(tc, {1, 2})
+    assert isinstance(poset, fp.ClosurePoset)
+    for J in ([2, 1], frozenset({1, 2})):
+        assert tc.orbit_partition(J) is orbits
+        assert fp.closure_poset(tc, J) is poset
+    assert poset.J == frozenset({1, 2})
+
+
+def test_stabilizer_type_memo_stores_no_failed_call(group_of):
+    g = group_of("A2")
+    tc = fp.TwistedConjugation(g, _delta(g, "id"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="minimal coset representative"):
+            tc.stabilizer_type({1}, g.simple_reflection(1))
+    assert tc._memo == {}
+
+
+def test_distinguished_form_memoizes_none(group_of, monkeypatch):
+    g = group_of("A2")
+    tc = fp.TwistedConjugation(g, _delta(g, "flip"))
+    calls = []
+    real = tc.stabilizer_type
+
+    def counting(J, w):
+        calls.append((J, w))
+        return real(J, w)
+
+    monkeypatch.setattr(tc, "stabilizer_type", counting)
+    # s_1 = e * s_1, and the stabilizer type of e for J = {1} under the flip is empty
+    s1 = g.simple_reflection(1)
+    assert tc._distinguished_form({1}, s1) is None
+    assert tc._distinguished_form([1], s1) is None
+    assert calls == [(frozenset({1}), g.identity)]
+
+
+def test_equal_orbits_hash_alike(group_of):
+    g = group_of("B3")
+    J = {1, 3}
+    a = fp.TwistedConjugation(g, _delta(g, "id")).orbit_partition(J)[0]
+    b = fp.TwistedConjugation(g, _delta(g, "id")).orbit_partition(J)[0]
+    assert a == b and a[0] is not b[0]
+    assert [hash(o) for o in a] == [hash(o) for o in b]
+    assert set(a) == set(b)
+    assert len(set(a)) == len(a)

@@ -509,3 +509,21 @@ def test_min_double_coset_reps_match_full_scan(group_of, label):
 def test_min_coset_reps_rejects_unknown_side(group_of):
     with pytest.raises(ValueError, match="side must be"):
         group_of("A2").min_coset_reps({1}, "up")
+
+
+def test_min_coset_reps_memo_keys_subset_as_a_set(group_of):
+    g = group_of("A3")
+    for side in ("right", "left"):
+        first = g.min_coset_reps({1, 2}, side)
+        assert g.min_coset_reps([2, 1], side) is first
+        assert g.min_coset_reps(frozenset({1, 2}), side) is first
+    assert g.min_coset_reps({1, 2}, "left") is not g.min_coset_reps({1, 2}, "right")
+
+
+def test_min_coset_reps_memo_stores_no_failed_call(group_of):
+    g = group_of("A2")
+    before = dict(g._memo)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="side must be"):
+            g.min_coset_reps({1}, "up")
+    assert g._memo == before
