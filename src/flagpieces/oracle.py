@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from . import pieces as pieces_mod
 from .pieces import (
+    SequenceError,
     TwistedSequence,
     _bits,
     _up_mask,
@@ -30,6 +31,7 @@ from .pieces import (
     sequence_for,
     sequence_root_inclusions,
     simple_image_subset,
+    validate_sequence,
 )
 from .rootsys import CartanDatum, RootSystem
 from .twist import TwistedConjugation, stable_support, support
@@ -71,16 +73,6 @@ class OracleReport:
         if not self.passed:
             line += f", {self.failure_count} failures"
         return line + ")"
-
-
-def _walk(table, x: int, letters) -> int:
-    """Index reached from element index x by applying the letters in order:
-    through g._rmul that is x s_a1 ... s_ak, through g._lmul s_ak ... s_a1 x.
-    So w y is _walk(g._rmul, w, y.word) and y w is
-    _walk(g._lmul, w, reversed(y.word))."""
-    for i in letters:
-        x = table[i][x]
-    return x
 
 
 def subsets_of(indices) -> list[frozenset[int]]:
@@ -333,11 +325,11 @@ def check_group_order(group: WeylGroup) -> OracleReport:
     return rep
 
 
-def check_bruhat_agreement(group: WeylGroup, max_len: int = _BRUHAT_WORD_CAP) -> OracleReport:
+def check_bruhat_agreement(group: WeylGroup) -> OracleReport:
     """Fast Bruhat rows vs the subword oracle, for every v within the word cap."""
     rep = OracleReport("bruhat-subword")
     for v in group.elements:
-        if v.length > max_len:
+        if v.length > _BRUHAT_WORD_CAP:
             continue
         lower = bruhat_lower_set_oracle(v)
         mask = 0
@@ -360,19 +352,14 @@ def check_coset_minimality(group: WeylGroup) -> OracleReport:
     """min_coset_rep lands in the coset, is its unique shortest element, and
     splits the length additively."""
     rep = OracleReport("coset-minimality")
-    length, inv = group._length, group._inverse_index
-    # per side, the walk that multiplies an index by y: on the right (w y)
-    # through _rmul, on the left (y w) through _lmul with y's word reversed
-    sides = (
-        ("right", group._rmul, lambda y: y.word),
-        ("left", group._lmul, lambda y: reversed(y.word)),
-    )
+    length = group._length
+    sides = (("right", group._rmul), ("left", group._lmul))
     for J in subsets_of(group.simple_indices):
         # each coset is built once, literally, and shared by its members:
         # per side, coset_of[w] is (the coset of w, its minimal-length elements)
-        coset_of = {side: [None] * group.order for side, _, _ in sides}
+        coset_of = {side: [None] * group.order for side, _ in sides}
         for w in group.elements:
-            for side, table, letters in sides:
+            for side, table in sides:
                 rep.instances_checked += 1
                 r = group.min_coset_rep(w, J, side)
                 found = coset_of[side]
@@ -393,12 +380,12 @@ def check_coset_minimality(group: WeylGroup) -> OracleReport:
                         "unique minimum = rep",
                         f"{len(mins)} minima",
                     )
-                rest = _walk(table, inv[r.index], letters(w))  # r^-1 w, or w r^-1 on the left
-                if w.length != r.length + length[rest]:
+                rest = r.inverse() * w if side == "right" else w * r.inverse()
+                if w.length != r.length + rest.length:
                     rep.record(
                         f"J={sorted(J)} side={side} w={word_str(w)}",
                         "l(w) = l(rep) + l(rest)",
-                        f"{w.length} != {r.length} + {length[rest]}",
+                        f"{w.length} != {r.length} + {rest.length}",
                     )
     return rep
 
@@ -558,7 +545,10 @@ def check_shift_reduction(tc: TwistedConjugation, J) -> OracleReport:
 
 
 def check_sequence_bijection(tc: TwistedConjugation, J) -> OracleReport:
-    """Raw sequence enumeration is in bijection with W^J via inverse(stable_w)."""
+    """Raw sequence enumeration is in bijection with W^J via inverse(stable_w),
+    and for each w in W^J, sequence_for has the steps of the sequence labeled
+    w, passes validate_sequence and stabilizes at the stabilizer type of w;
+    with that label and the stable-pair check, equal steps give stable_w = w^-1."""
     rep = OracleReport("sequence-bijection")
     g = tc.group
     J = frozenset(J)
@@ -584,6 +574,13 @@ def check_sequence_bijection(tc: TwistedConjugation, J) -> OracleReport:
                 "recipe sequence = enumerated sequence",
                 "different steps",
             )
+        stab = tc.stabilizer_type(J, w)
+        if made.stable_J != stab:
+            rep.record(f"J={sorted(J)} w={word_str(w)} stable J", sorted(stab), sorted(made.stable_J))
+        try:
+            validate_sequence(tc, made)
+        except SequenceError as exc:
+            rep.record(f"J={sorted(J)} w={word_str(w)}", "valid recipe sequence", str(exc))
     return rep
 
 

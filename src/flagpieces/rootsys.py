@@ -33,14 +33,20 @@ _LABEL_RE = re.compile(r"^([A-G])([0-9]+)$")
 def memoized(fn):
     """Memoize fn(owner, J, *args, **kwargs) in the dict owner._memo.
 
-    J, passed by position, is keyed and passed on as frozenset(J); the other
-    arguments are keyed as given. A call that raises stores nothing; a None
-    result is stored. The fill takes no lock: two threads racing on one key
-    may both call fn, and one result is kept.
+    J, passed by position or by the name of fn's second parameter, is keyed
+    and passed on as frozenset(J); the other arguments are keyed as given. A
+    call that raises stores nothing; a None result is stored. The fill takes
+    no lock: two threads racing on one key may both call fn, and one result
+    is kept.
     """
+    name = fn.__code__.co_varnames[1]
 
     @wraps(fn)
-    def wrapper(owner, J, *args, **kwargs):
+    def wrapper(owner, J=None, *args, **kwargs):
+        if J is None:  # no positional subset: take it by name
+            J = kwargs.pop(name, None)
+            if J is None:
+                raise TypeError(f"{fn.__qualname__}() missing argument {name!r}")
         J = frozenset(J)
         # on CPython 3.11, (fn, J) + args builds faster than (fn, J, *args)
         key = (fn, J) + args + tuple(kwargs.items()) if kwargs else (fn, J) + args

@@ -424,8 +424,10 @@ class TwistedConjugation:
     # -- reduction to distinguished form -----------------------------------------
 
     @memoized
-    def _distinguished_form(self, J: frozenset[int], u: WeylElement):
-        """(label, tail) if u = label * tail, label in W^J and tail in W_K; else None."""
+    def _distinguished_form(self, J: frozenset[int], uidx: int):
+        """(label, tail) if u = label * tail, label in W^J and tail in W_K, for
+        u the element of index uidx; else None."""
+        u = self.group.elements[uidx]
         label = self.group.min_coset_rep(u, J, "right")
         tail = label.inverse() * u
         if set(tail.word) <= self.stabilizer_type(J, label):
@@ -448,8 +450,7 @@ class TwistedConjugation:
         counter = 1
         while heap:
             _, _, uidx = heapq.heappop(heap)
-            u = elems[uidx]
-            form = self._distinguished_form(J, u)
+            form = self._distinguished_form(J, uidx)
             if form is not None:
                 label, tail = form
                 steps = []
@@ -462,7 +463,7 @@ class TwistedConjugation:
             for j, (dl, r) in moves:
                 z = r[dl[uidx]]
                 zlen = length[z]
-                if zlen <= u.length and z not in seen:
+                if zlen <= length[uidx] and z not in seen:
                     seen.add(z)
                     parents[z] = (uidx, j)
                     heapq.heappush(heap, (zlen, counter, z))

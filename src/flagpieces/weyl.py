@@ -377,14 +377,12 @@ class WeylGroup:
         return tuple(e for e in reps if self.is_min_left_rep(e, right_subset))
 
     def double_coset_rep(self, w: WeylElement, left_subset, right_subset) -> WeylElement:
-        """The unique element of ^JW^K inside W_J w W_K."""
-        J, K = sorted(left_subset), sorted(right_subset)
-        while True:
-            prev = w
-            w = self.min_coset_rep(w, K, "right")
-            w = self.min_coset_rep(w, J, "left")
-            if w == prev:
-                return w
+        """The unique element of ^JW^K inside W_J w W_K.
+
+        One pass: the right minimization lands in W^K, and a left step down
+        from an element of W^K stays in W^K (Deodhar's lemma; Geck-Pfeiffer,
+        Lemma 2.1.2), so the left minimization ends in ^JW^K."""
+        return self.min_coset_rep(self.min_coset_rep(w, right_subset, "right"), left_subset, "left")
 
     # -- Bruhat order ---------------------------------------------------------
 

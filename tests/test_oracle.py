@@ -261,6 +261,51 @@ def test_parabolic_restriction_records_planted_j1(group_of, monkeypatch):
     assert rep.instances_checked == 4 * 13  # every K, and (J, w) with w in ^JW
 
 
+def test_sequence_bijection_counts_a_truncated_recipe(tc_of, monkeypatch):
+    tc = tc_of("A3", "flip")
+    real = oracle.sequence_for
+
+    def truncated(tc_, J, w):
+        seq = real(tc_, J, w)
+        return dataclasses.replace(seq, steps=seq.steps[:-1])
+
+    monkeypatch.setattr(oracle, "sequence_for", truncated)
+    for J in subsets_of(tc.group.simple_indices):
+        n = len(tc.group.min_coset_reps(J, "right"))
+        rep = oracle.check_sequence_bijection(tc, J)
+        # per w: its steps differ from the enumerated ones, and validate_sequence
+        # rejects them (no steps left, or a last step that is not stable)
+        assert (rep.instances_checked, rep.failure_count) == (2 * n, 2 * n)
+        assert {got for _, _, got in rep.failures} <= {
+            "different steps",
+            "sequence has no steps",
+            "final step is not stabilized",
+        }
+    rep = oracle.check_sequence_bijection(tc, set())
+    assert rep.failures[:2] == [
+        ("J=[] w=e", "recipe sequence = enumerated sequence", "different steps"),
+        ("J=[] w=e", "valid recipe sequence", "sequence has no steps"),
+    ]
+
+
+def test_planted_stabilizer_type_fails_two_checks(group_of, monkeypatch):
+    g = group_of("A3")
+    delta = DiagramAutomorphism.from_spec(g.root_system, "flip")
+    real = fp.TwistedConjugation.stabilizer_type
+
+    def planted(self, J, w):
+        return real(self, J, w) ^ {1}
+
+    monkeypatch.setattr(fp.TwistedConjugation, "stabilizer_type", planted)
+    J = frozenset({1, 2})
+    reports = {rep.check_name: rep for rep in oracle.run_subset_checks(g, delta, J)}
+    n = len(g.min_coset_reps(J, "right"))
+    assert reports["stabilizer-type"].failure_count == n
+    seq = reports["sequence-bijection"]
+    assert (seq.instances_checked, seq.failure_count) == (2 * n, n)
+    assert seq.failures[0] == ("J=[1, 2] w=e stable J", "[1, 2]", "[2]")
+
+
 def test_subset_checks_build_the_closure_poset_once(group_of, monkeypatch):
     # order-axioms and closure-agreement share the poset memoized on the action
     g = group_of("A3")

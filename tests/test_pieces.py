@@ -88,6 +88,24 @@ def test_sequence_step_count_bounded(tc_of):
             assert len(seq.steps) <= len(J) + 1
 
 
+def test_sequence_for_runs_no_self_check(tc_of, monkeypatch):
+    # the checks of a computed sequence live in oracle.check_sequence_bijection
+    cases = [
+        (tc, J, w)
+        for tc in (tc_of("A3", "flip"), tc_of("D4", "tri"))
+        for J in subsets_of(tc.group.simple_indices)
+        for w in tc.group.min_coset_reps(J, "right")
+    ]
+    expected = [sequence_for(tc, J, w) for tc, J, w in cases]
+
+    def refuse(*args):
+        raise AssertionError("sequence_for checked its own result")
+
+    monkeypatch.setattr(pieces_mod, "validate_sequence", refuse)
+    monkeypatch.setattr(fp.TwistedConjugation, "stabilizer_type", refuse)
+    assert [sequence_for(tc, J, w) for tc, J, w in cases] == expected
+
+
 def test_validate_sequence_rejects_corruption(tc_of):
     tc = tc_of("A2", "id")
     g = tc.group

@@ -492,8 +492,8 @@ def test_distinguished_form_memoizes_none(group_of, monkeypatch):
     monkeypatch.setattr(tc, "stabilizer_type", counting)
     # s_1 = e * s_1, and the stabilizer type of e for J = {1} under the flip is empty
     s1 = g.simple_reflection(1)
-    assert tc._distinguished_form({1}, s1) is None
-    assert tc._distinguished_form([1], s1) is None
+    assert tc._distinguished_form({1}, s1.index) is None
+    assert tc._distinguished_form([1], s1.index) is None
     assert calls == [(frozenset({1}), g.identity)]
 
 

@@ -520,6 +520,16 @@ def test_min_coset_reps_memo_keys_subset_as_a_set(group_of):
     assert g.min_coset_reps({1, 2}, "left") is not g.min_coset_reps({1, 2}, "right")
 
 
+def test_memo_takes_the_subset_by_keyword(group_of):
+    g = group_of("A2")
+    rs = g.root_system
+    assert g.parabolic_elements(subset={1}) is g.parabolic_elements({1})
+    assert g.min_coset_reps(subset=[2, 1]) is g.min_coset_reps({1, 2})
+    assert rs.parabolic_root_indices(subset={2}) is rs.parabolic_root_indices({2})
+    with pytest.raises(TypeError, match="missing argument 'subset'"):
+        g.parabolic_elements()
+
+
 def test_min_coset_reps_memo_stores_no_failed_call(group_of):
     g = group_of("A2")
     before = dict(g._memo)
