@@ -1,8 +1,8 @@
 """Command-line front end: pieces, poset, orbits, sequence, closure, verify.
 
 Exit codes: 0 on success, 1 when the verify suite finds a failure, 2 on bad
-configuration or when memory runs out. All output is deterministic for a
-fixed configuration.
+configuration, when memory runs out, or when a verify worker process dies.
+All output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
             out, code = cmd_closure(ctx), 0
         else:
             out, code = cmd_verify(ctx)
-    except ConfigError as exc:
+    except (ConfigError, oracle.WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

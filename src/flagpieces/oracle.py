@@ -14,12 +14,21 @@ library so the CLI verify command can run them in the field. All
 verification lives here, and no fast path has a checking mode:
 `check_order_axioms` checks the poset axioms and the independence of the
 twisted order from the orbit minimum on the fast path's own records.
+`run_all_checks` runs each group check and each subset's checks as one job,
+spread over forked worker processes, one per CPU (all in this process under a
+tracer or profiler), and merges the reports in the serial order: group checks
+first, then each per-subset check over the subsets in `subsets_of` order.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import pieces as pieces_mod
 from .pieces import (
@@ -733,11 +742,128 @@ def run_subset_checks(group: WeylGroup, delta, J) -> list[OracleReport]:
     return [_run_guarded(name, check, tc, frozenset(J)) for name, check in PER_SUBSET_CHECKS]
 
 
+class WorkerError(Exception):
+    """A verify worker process ended without sending its reports back."""
+
+
+def _instrumented() -> bool:
+    """Whether a tracer or profiler watches this process: one set with
+    sys.settrace or sys.setprofile, or one that replaced the check tables'
+    functions with wrappers (a wrapper made by functools.wraps has
+    __wrapped__). It sees only this process, so forked work would be
+    missing from what it reports."""
+    checks = GROUP_CHECKS + PER_SUBSET_CHECKS
+    return bool(sys.gettrace() or sys.getprofile()) or any(hasattr(f, "__wrapped__") for _, f in checks)
+
+
+def _worker_count(jobs: int) -> int:
+    """W: the CPUs this process may run on, at most one per job; 1 where
+    fork or the affinity mask is unavailable, and 1 under a tracer or
+    profiler, which then sees every job."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _instrumented():
+        return 1
+    return min(len(os.sched_getaffinity(0)), jobs)
+
+
+def _run_share(jobs, share: int, width: int, caller: int | None = None) -> dict:
+    """{k: jobs[k]()} for k = share, share + width, ...; in a worker, whose
+    caller's pid is given, stop before the next job once the caller is gone
+    (killed, say), since nobody would read the results."""
+    out = {}
+    for k in range(share, len(jobs), width):
+        if caller is not None and os.getppid() != caller:
+            os._exit(1)
+        out[k] = jobs[k]()
+    return out
+
+
+def _fork_worker(jobs, share: int, width: int):
+    """Fork a worker for jobs share, share + width, ...; return its pid and
+    the read end of the pipe it sends (True, {k: result}) or (False, exception)
+    down, pickled.
+
+    fork, not spawn: the worker reads the group table the caller built
+    instead of building its own, and the library starts no threads."""
+    caller = os.getpid()
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(wfd)
+        return pid, open(rfd, "rb")
+    # the worker never returns into the caller: os._exit skips atexit
+    # handlers and the flush of output the parent had buffered
+    code = 1
+    try:
+        os.close(rfd)
+        # a supervisor may read the caller's stdout and stderr to EOF; a
+        # worker left running after the caller was killed must not hold them
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        try:
+            payload = (True, _run_share(jobs, share, width, caller))
+        except BaseException as exc:
+            # imported here: at module level it adds about 0.5 MB to the
+            # peak RSS of every CLI command. Notes survive pickling, so the
+            # caller's traceback shows the worker's
+            import traceback
+
+            exc.add_note("in a verify worker:\n" + traceback.format_exc().rstrip())
+            payload = (False, exc)
+        with open(wfd, "wb") as out:
+            out.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _status_text(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return f"killed by signal {signal.Signals(-code).name}"
+    return f"exit status {code}"
+
+
+def _run_jobs(jobs) -> dict:
+    """{k: jobs[k]()} for every job, spread over W processes: job k runs in
+    worker k mod W, and this process is worker 0. Every forked worker is
+    reaped before this returns or raises; an exception a job raised in a
+    worker is raised again here."""
+    width = _worker_count(len(jobs))
+    workers = []  # (pid, read end of its pipe)
+    try:
+        for share in range(1, width):
+            workers.append(_fork_worker(jobs, share, width))
+        results = _run_share(jobs, 0, width)
+        received = [pipe.read() for _, pipe in workers]
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, pipe in workers:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for status, data in zip(statuses, received):
+        if status:
+            raise WorkerError(f"a verify worker ended without a result ({_status_text(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results.update(value)
+    return results
+
+
 def run_all_checks(group: WeylGroup, delta) -> list[OracleReport]:
     """Whole-suite run for one (group, delta): group-level checks, then the
-    per-J checks for every subset of simple indices, merged per check kind."""
-    reports = [_run_guarded(name, check, group) for name, check in GROUP_CHECKS]
-    per_subset = [run_subset_checks(group, delta, J) for J in subsets_of(group.simple_indices)]
+    per-J checks for every subset of simple indices, merged per check kind.
+    Each group check and each per-J run is one job for `_run_jobs`."""
+    jobs = [partial(_run_guarded, name, check, group) for name, check in GROUP_CHECKS]
+    jobs += [partial(run_subset_checks, group, delta, J) for J in subsets_of(group.simple_indices)]
+    results = _run_jobs(jobs)
+    reports = [results[k] for k in range(len(GROUP_CHECKS))]
+    per_subset = [results[k] for k in range(len(GROUP_CHECKS), len(jobs))]
     for kind, (name, _) in enumerate(PER_SUBSET_CHECKS):
         merged = OracleReport(name)
         for chunk in per_subset:

@@ -281,18 +281,19 @@ class WeylGroup:
         return all(lmul[j][x] > x for j in subset)
 
     def min_coset_rep(self, w: WeylElement, subset, side: str = "right") -> WeylElement:
-        """Minimal element of w W_J (side="right") or W_J w (side="left")."""
+        """Minimal element of w W_J (side="right") or W_J w (side="left");
+        subset is a collection (a set or a list), read once per step."""
         if side == "right":
             table = self._rmul
         elif side == "left":
             table = self._lmul
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        # step down by a descent in J until there is none; the minimum is unique
-        J = sorted(subset)
+        # step down by a descent in J until there is none; the minimum is
+        # unique, so the order the descents are tried in does not matter
         x = w.index
         while True:
-            for j in J:
+            for j in subset:
                 y = table[j][x]
                 if y < x:
                     x = y

@@ -59,3 +59,19 @@ SCOPE = (
 @pytest.fixture(scope="session")
 def scope_configs():
     return [(label, spec) for label, specs in SCOPE for spec in specs]
+
+
+@pytest.fixture
+def verify_workers(monkeypatch):
+    """Force the number of processes the verify suite runs on; after the test,
+    no child process may be left, running or unreaped."""
+    import os
+
+    from flagpieces import oracle
+
+    def force(width: int) -> None:
+        monkeypatch.setattr(oracle, "_worker_count", lambda jobs: width)
+
+    yield force
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

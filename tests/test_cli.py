@@ -1,5 +1,11 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -263,3 +269,124 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: out of memory building E7")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cartan,delta", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])
+def test_verify_output_same_for_any_worker_count(capsys, verify_workers, cartan, delta):
+    for fmt in ("text", "json"):
+        runs = []
+        for width in (1, 2, 3):
+            verify_workers(width)
+            runs.append(run_cli(capsys, "--cartan", cartan, "--delta", delta, "--format", fmt, "verify"))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+
+def _plant_in_worker(monkeypatch, action):
+    """Make every per-J check run `action` in a worker process and pass in
+    this one."""
+    from flagpieces import oracle
+
+    parent = os.getpid()
+
+    def check(tc, J):
+        if os.getpid() != parent:
+            action()
+        return oracle.OracleReport("planted")
+
+    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("planted", check),))
+
+
+def test_worker_out_of_memory_exits_2(capsys, monkeypatch, verify_workers):
+    def exhausted():
+        raise MemoryError
+
+    _plant_in_worker(monkeypatch, exhausted)
+    verify_workers(2)
+    code, out, err = run_cli(capsys, "--cartan", "A2", "--delta", "id", "verify")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory building A2")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "end,status",
+    [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal SIGKILL"),
+    ],
+)
+def test_worker_death_exits_2(capsys, monkeypatch, verify_workers, end, status):
+    _plant_in_worker(monkeypatch, end)
+    verify_workers(2)
+    code, out, err = run_cli(capsys, "--cartan", "A2", "--delta", "id", "verify")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: a verify worker ended without a result ({status})\n"
+
+
+def test_verify_subprocess_matches_in_process(capsys, verify_workers):
+    # a fresh interpreter forks its workers as a benchmark run does
+    args = ["--cartan", "B3", "--delta", "id", "verify"]
+    verify_workers(1)
+    _, expected, _ = run_cli(capsys, *args)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagpieces", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+# verify on A4 with W = 2, where every per-J job in the worker logs its pid
+# and sleeps 2 s, so the worker's share lasts about 16 s
+_SLOW_WORKER = """
+import os, sys, time
+from flagpieces import cli, oracle
+
+caller = os.getpid()
+
+def slow(tc, J):
+    if os.getpid() != caller:
+        with open(sys.argv[1], "a") as log:
+            log.write(f"{os.getpid()}\\n")
+        time.sleep(2)
+    return oracle.OracleReport("slow")
+
+oracle.PER_SUBSET_CHECKS = (("slow", slow),)
+oracle._worker_count = lambda jobs: 2
+sys.exit(cli.main(["--cartan", "A4", "--delta", "id", "verify"]))
+"""
+
+
+def test_killed_verify_leaves_no_worker_running(tmp_path):
+    # a supervisor that SIGKILLs verify and reads its output to EOF does not
+    # wait for the worker, and the worker stops after the job it is in
+    log = tmp_path / "jobs.log"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SLOW_WORKER, str(log)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    deadline = time.monotonic() + 60
+    while not (log.exists() and log.read_text()):
+        assert time.monotonic() < deadline and proc.poll() is None
+        time.sleep(0.05)
+    proc.kill()
+    t0 = time.monotonic()
+    out, _ = proc.communicate(timeout=60)
+    assert time.monotonic() - t0 < 1
+    assert out == b""
+    time.sleep(2.5)  # the job the worker was in has ended
+    started = log.read_text()
+    time.sleep(2.5)  # more than one more job's time
+    assert log.read_text() == started
+    assert len(started.split()) < 8

@@ -1,5 +1,9 @@
 import dataclasses
+import functools
+import os
 import random
+import sys
+import time
 
 import pytest
 
@@ -322,3 +326,92 @@ def test_subset_checks_build_the_closure_poset_once(group_of, monkeypatch):
         calls.clear()
         assert all(rep.passed for rep in oracle.run_subset_checks(g, delta, J))
         assert calls == [J]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_failure_count_exact_with_worker_processes(group_of, monkeypatch, verify_workers, width):
+    parent = os.getpid()
+
+    def noisy(tc, J):
+        rep = OracleReport("noisy")
+        for k in range(5):
+            rep.instances_checked += 1
+            rep.record(f"J={sorted(J)} #{k}", True, "worker" if os.getpid() != parent else "parent")
+        return rep
+
+    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("noisy", noisy),))
+    verify_workers(width)
+    g = group_of("A2")  # jobs: 6 group checks, then J = {}, {1}, {2}, {1,2}
+    reports = oracle.run_all_checks(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    merged = reports[-1]
+    assert merged.failure_count == 20
+    assert [d for d, _, _ in merged.failures] == (
+        [f"J=[] #{k}" for k in range(5)] + [f"J=[1] #{k}" for k in range(3)]
+    )
+    # J = {1} is job 7: a worker's for W = 2 and W = 3
+    assert [got for _, _, got in merged.failures] == ["parent"] * 5 + ["worker"] * 3
+    assert merged.summary_line() == "FAIL noisy (20 instances, 20 failures)"
+
+
+def test_worker_exception_is_raised_again_in_parent(group_of, monkeypatch, verify_workers):
+    parent = os.getpid()
+
+    def bad(tc, J):
+        if os.getpid() != parent:
+            raise ValueError(f"planted in a worker, J={sorted(J)}")
+        return OracleReport("bad")
+
+    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("bad", bad),))
+    verify_workers(2)
+    g = group_of("A2")
+    with pytest.raises(ValueError, match=r"planted in a worker, J=\[1\]") as raised:
+        oracle.run_all_checks(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    # the worker's frames come back as a note, down to the failing check
+    (note,) = raised.value.__notes__
+    assert note.startswith("in a verify worker:\nTraceback")
+    assert "in bad\n" in note
+
+
+def test_parent_interrupt_stops_and_reaps_workers(group_of, monkeypatch, verify_workers):
+    parent = os.getpid()
+
+    def stuck(tc, J):
+        if os.getpid() != parent:
+            time.sleep(60)  # killed by the parent long before this ends
+        elif J:
+            raise KeyboardInterrupt
+        return OracleReport("stuck")
+
+    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("stuck", stuck),))
+    verify_workers(2)
+    g = group_of("A2")
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        oracle.run_all_checks(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    assert time.perf_counter() - t0 < 30
+
+
+def test_tracer_or_profiler_runs_every_job_in_process(monkeypatch):
+    # what they count is in this process only, so nothing is forked under them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert oracle._worker_count(22) == 4
+    assert oracle._worker_count(3) == 3
+    sys.setprofile(lambda *args: None)
+    try:
+        assert oracle._worker_count(22) == 1
+    finally:
+        sys.setprofile(None)
+
+    def traced(fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            return fn(*args)
+
+        return wrapper
+
+    tables = {name: getattr(oracle, name) for name in ("GROUP_CHECKS", "PER_SUBSET_CHECKS")}
+    for name, table in tables.items():
+        monkeypatch.setattr(oracle, name, tuple((n, traced(f)) for n, f in table))
+        assert oracle._worker_count(22) == 1
+        monkeypatch.setattr(oracle, name, table)
+    assert oracle._worker_count(22) == 4
