@@ -15,9 +15,14 @@ verification lives here, and no fast path has a checking mode:
 `check_order_axioms` checks the poset axioms and the independence of the
 twisted order from the orbit minimum on the fast path's own records.
 `run_all_checks` runs each group check and each subset's checks as one job,
-spread over forked worker processes, one per CPU (all in this process under a
-tracer or profiler), and merges the reports in the serial order: group checks
+spread over this process and forked worker processes, one per CPU (all in
+this process, in the serial order, under a tracer or profiler). The processes
+pull job numbers from one pipe, the group checks first and then the subsets'
+jobs longest first, and the reports merge in the serial order: group checks
 first, then each per-subset check over the subsets in `subsets_of` order.
+The bit reads of the twisted-order checks are whole-row C-level calls
+(`pieces._bit_flags`, `_gather`, `_pack`); the orbits, minimal sets and
+quantifiers they read are still built literally.
 """
 
 from __future__ import annotations
@@ -28,13 +33,17 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from operator import eq, or_, sub
 
 from . import pieces as pieces_mod
 from .pieces import (
     SequenceError,
     TwistedSequence,
+    _bit_flags,
     _bits,
+    _gather,
+    _pack,
     _up_mask,
     parabolic_restriction_type,
     sequence_for,
@@ -42,7 +51,7 @@ from .pieces import (
     simple_image_subset,
     validate_sequence,
 )
-from .rootsys import CartanDatum, RootSystem
+from .rootsys import CartanDatum, RootSystem, memoized
 from .twist import TwistedConjugation, stable_support, support
 from .weyl import WeylElement, WeylGroup, word_str
 
@@ -207,31 +216,33 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
     and their minimal sets are recomputed as one literal pass over W_J, and
     the some/any forms of the definition are both evaluated and compared.
     "Some minimal v of the orbit of w lies below v'" is bit v' of the OR of
-    the Bruhat up-sets of those v.
+    the Bruhat up-sets of those v; one gather reads that bit at every v'.
     """
     g = tc.group
     reach, length = g._bruhat_up_reach, g._length
     reps = g.min_coset_reps(J, "right")
-    # the minima of every orbit, laid end to end; spans[b] delimits those of reps[b]
+    # the minima of every orbit, laid end to end; those of reps[b] are
+    # flat[starts[b]:ends[b]]
     flat: list[int] = []
-    spans: list[tuple[int, int]] = []
+    starts: list[int] = []
+    ends: list[int] = []
     for w in reps:
         orb = set(g._sweep(J, w.index, tc._dlmul, g._rmul))  # d(x) w x^-1 per x in W_J
         low = min(length[e] for e in orb)
-        start = len(flat)
+        starts.append(len(flat))
         flat.extend(e for e in sorted(orb) if length[e] == low)
-        spans.append((start, len(flat)))
+        ends.append(len(flat))
+    sizes = list(map(sub, ends, starts))
+    at_minima, at_starts, at_ends = _gather(flat), _gather(starts), _gather(ends)
     matrix = []
-    for w, (start, end) in zip(reps, spans):
-        up = 0
-        for v in flat[start:end]:
-            up |= reach[v]
+    for w, start, end in zip(reps, starts, ends):
+        up = reduce(or_, map(reach.__getitem__, flat[start:end]))
         # prefix counts of the minima vp with some v <= vp; per reps[b], the
         # count over its minima decides "some vp" (> 0) and "every vp" (= size)
-        below = list(itertools.accumulate([(up >> vp) & 1 for vp in flat], initial=0))
-        count = [below[b] - below[a] for a, b in spans]
-        some = [c > 0 for c in count]
-        row = [c == b - a for c, (a, b) in zip(count, spans)]
+        below = list(itertools.accumulate(at_minima(_bit_flags(up, g.order)), initial=0))
+        count = list(map(sub, at_ends(below), at_starts(below)))
+        some = list(map(bool, count))
+        row = list(map(eq, count, sizes))
         if some != row:
             w2 = next(w2 for w2, s, a in zip(reps, some, row) if s != a)
             raise AssertionError(
@@ -283,8 +294,13 @@ def positive_roots_oracle(datum: CartanDatum) -> set[tuple[int, ...]]:
 
 def delta_stable_subsets(tc: TwistedConjugation) -> list[frozenset[int]]:
     """All delta-stable subsets of the simple indices."""
-    I = tc.group.simple_indices
-    return [S for S in subsets_of(I) if tc.delta.subset(S) == S]
+    return list(_stable_subsets(tc, tc.group.simple_indices))
+
+
+@memoized
+def _stable_subsets(tc: TwistedConjugation, I) -> tuple[frozenset[int], ...]:
+    """The delta-stable subsets of I, scanned once per action."""
+    return tuple(S for S in subsets_of(I) if tc.delta.subset(S) == S)
 
 
 def irreducible_oracle(tc: TwistedConjugation, J, w: WeylElement) -> bool:
@@ -611,11 +627,16 @@ def check_order_axioms(tc: TwistedConjugation, J) -> OracleReport:
 
 def _check_representative_independence(g: WeylGroup, poset) -> None:
     """Every minimal element of the orbit of b^-1 gives the same bit in the
-    up-mask of a, the mask the row of a is read off."""
-    targets = [sum(1 << v.index for v in rec.orbit_min) for rec in poset.records]
+    up-mask of a, the mask the row of a is read off. A target b with one
+    minimal element cannot split, so only the others are tested."""
+    targets = [
+        (ib, sum(1 << v.index for v in rec.orbit_min))
+        for ib, rec in enumerate(poset.records)
+        if len(rec.orbit_min) > 1
+    ]
     for ia, rec in enumerate(poset.records):
         up = _up_mask(g, rec.orbit_min)
-        for ib, target in enumerate(targets):
+        for ib, target in targets:
             hit = up & target
             if hit and hit != target:
                 raise AssertionError(
@@ -625,6 +646,19 @@ def _check_representative_independence(g: WeylGroup, poset) -> None:
 
 
 def _check_partial_order(rows) -> None:
+    """Raise on the first pair (a, b), in row order, that breaks reflexivity,
+    antisymmetry or transitivity.
+
+    Whole rows are tested first: each reflexive, each the OR of the rows it
+    contains, and no two equal. With the first two, equal rows are exactly
+    the pairs that break antisymmetry, so rows that pass are a partial order;
+    otherwise the pair loop finds the failure and its message."""
+    n = len(rows)
+    if len(set(rows)) == n and all(
+        (row >> a) & 1 and reduce(or_, itertools.compress(rows, _bit_flags(row, n)), 0) == row
+        for a, row in enumerate(rows)
+    ):
+        return
     for a, row in enumerate(rows):
         if not (row >> a) & 1:
             raise AssertionError(f"closure relation is not reflexive at node {a}")
@@ -645,30 +679,32 @@ def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
     poset = pieces_mod.closure_poset(tc, J)
     records = poset.records
     n = len(records)
-    bit = [1 << ib for ib in range(n)]
     words = [word_str(r.index_w) for r in records]
 
     def compare_row(ia: int, flags, describe) -> None:
         # the row is compared whole: one failure per bit where the expected
         # row (bit ib set iff flags[ib]) and the poset row differ
         rep.instances_checked += n
-        expected = sum(itertools.compress(bit, flags))
+        expected = _pack(flags)
         for ib in _bits(expected ^ poset.leq_rows[ia]):
             rep.record(describe(ib), (expected >> ib) & 1 == 1, poset.leq(ia, ib))
 
-    cols = [pos[r.inv_w] for r in records]
+    at_cols = _gather([pos[r.inv_w] for r in records])
     for ia, ra in enumerate(records):
-        row = matrix[pos[ra.inv_w]]
         compare_row(
-            ia, [row[c] for c in cols], lambda ib: f"J={sorted(J)} {words[ia]} <= {words[ib]}"
+            ia,
+            at_cols(matrix[pos[ra.inv_w]]),
+            lambda ib: f"J={sorted(J)} {words[ia]} <= {words[ib]}",
         )
     if not J:
         reach = g._bruhat_up_reach
         idx = [r.index_w.index for r in records]
+        at_labels = _gather(idx)
         for ia, u in enumerate(idx):
-            up = reach[u]
             compare_row(
-                ia, [(up >> v) & 1 for v in idx], lambda ib: f"Bruhat at {words[ia]}, {words[ib]}"
+                ia,
+                at_labels(_bit_flags(reach[u], g.order)),
+                lambda ib: f"Bruhat at {words[ia]}, {words[ib]}",
             )
     return rep
 
@@ -765,20 +801,25 @@ def _worker_count(jobs: int) -> int:
     return min(len(os.sched_getaffinity(0)), jobs)
 
 
-def _run_share(jobs, share: int, width: int, caller: int | None = None) -> dict:
-    """{k: jobs[k]()} for k = share, share + width, ...; in a worker, whose
-    caller's pid is given, stop before the next job once the caller is gone
-    (killed, say), since nobody would read the results."""
+def _pull_jobs(jobs, queue: int, caller: int | None = None) -> dict:
+    """{k: jobs[k]()} for each job number k pulled from the queue pipe, until
+    it is empty; in a worker, whose caller's pid is given, stop before the
+    next pull once the caller is gone (killed, say), since nobody would read
+    the results. The pipe holds only whole 2-byte tokens, all written before
+    the first pull, so each 2-byte read takes one token, whole."""
     out = {}
-    for k in range(share, len(jobs), width):
+    while True:
         if caller is not None and os.getppid() != caller:
             os._exit(1)
+        token = os.read(queue, 2)
+        if not token:
+            return out
+        k = int.from_bytes(token, "little")
         out[k] = jobs[k]()
-    return out
 
 
-def _fork_worker(jobs, share: int, width: int):
-    """Fork a worker for jobs share, share + width, ...; return its pid and
+def _fork_worker(jobs, queue: int):
+    """Fork a worker that pulls jobs from the queue pipe; return its pid and
     the read end of the pipe it sends (True, {k: result}) or (False, exception)
     down, pickled.
 
@@ -801,7 +842,7 @@ def _fork_worker(jobs, share: int, width: int):
         os.dup2(null, 1)
         os.dup2(null, 2)
         try:
-            payload = (True, _run_share(jobs, share, width, caller))
+            payload = (True, _pull_jobs(jobs, queue, caller))
         except BaseException as exc:
             # imported here: at module level it adds about 0.5 MB to the
             # peak RSS of every CLI command. Notes survive pickling, so the
@@ -824,23 +865,34 @@ def _status_text(status: int) -> str:
     return f"exit status {code}"
 
 
-def _run_jobs(jobs) -> dict:
-    """{k: jobs[k]()} for every job, spread over W processes: job k runs in
-    worker k mod W, and this process is worker 0. Every forked worker is
+def _run_jobs(jobs, pull_order) -> dict:
+    """{k: jobs[k]()} for every job, spread over W processes, this one
+    included. With W = 1 the jobs run here in their serial order. Otherwise
+    the job numbers, in the order pull_order() gives, go into one pipe before
+    the W - 1 workers are forked, and every process pulls the next number
+    whenever it is free, until the pipe is empty. Every forked worker is
     reaped before this returns or raises; an exception a job raised in a
     worker is raised again here."""
     width = _worker_count(len(jobs))
+    if width == 1:
+        return {k: job() for k, job in enumerate(jobs)}
     workers = []  # (pid, read end of its pipe)
+    queue, tokens = os.pipe()
     try:
-        for share in range(1, width):
-            workers.append(_fork_worker(jobs, share, width))
-        results = _run_share(jobs, 0, width)
+        # every token is in the pipe and its write end is closed before any
+        # process pulls, so an empty read means that no job is left
+        with open(tokens, "wb") as out:
+            out.write(b"".join(k.to_bytes(2, "little") for k in pull_order()))
+        for _ in range(1, width):
+            workers.append(_fork_worker(jobs, queue))
+        results = _pull_jobs(jobs, queue)
         received = [pipe.read() for _, pipe in workers]
     except BaseException:
         for pid, _ in workers:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        os.close(queue)
         statuses = []
         for pid, pipe in workers:
             pipe.close()
@@ -855,13 +907,32 @@ def _run_jobs(jobs) -> dict:
     return results
 
 
+def _pull_order(group: WeylGroup) -> list[int]:
+    """Job numbers in the order the processes pull them: the group checks
+    first, then the per-J jobs by decreasing |W^J|^2 + |W| |W_J|, ties in
+    serial order. The two terms are the closure rows and the strong-component
+    sweep; a long job pulled last would keep one process busy after the
+    others run dry. |W^J| is read off `min_coset_reps`, which the forked
+    workers then find memoized."""
+    n = group.order
+    first = len(GROUP_CHECKS)
+    subsets = subsets_of(group.simple_indices)
+
+    def cost(k: int) -> int:
+        reps = len(group.min_coset_reps(subsets[k], "right"))
+        return reps * reps + n * (n // reps)
+
+    per_j = sorted(range(len(subsets)), key=cost, reverse=True)
+    return list(range(first)) + [first + k for k in per_j]
+
+
 def run_all_checks(group: WeylGroup, delta) -> list[OracleReport]:
     """Whole-suite run for one (group, delta): group-level checks, then the
     per-J checks for every subset of simple indices, merged per check kind.
     Each group check and each per-J run is one job for `_run_jobs`."""
     jobs = [partial(_run_guarded, name, check, group) for name, check in GROUP_CHECKS]
     jobs += [partial(run_subset_checks, group, delta, J) for J in subsets_of(group.simple_indices)]
-    results = _run_jobs(jobs)
+    results = _run_jobs(jobs, partial(_pull_order, group))
     reports = [results[k] for k in range(len(GROUP_CHECKS))]
     per_subset = [results[k] for k in range(len(GROUP_CHECKS), len(jobs))]
     for kind, (name, _) in enumerate(PER_SUBSET_CHECKS):

@@ -10,6 +10,9 @@ poset given by the twisted partial order on minimal representatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import itemgetter, or_
 
 from .rootsys import memoized
 from .twist import TwistedConjugation, simple_image, stable_support
@@ -141,6 +144,33 @@ def _bits(mask: int):
         mask ^= low
 
 
+# Whole-row bit kernels: a mask becomes one byte per bit, a row of bits is
+# read at many positions by one itemgetter, and 0/1 flags pack back into a
+# mask, each in a C-level call instead of one big-int operation per bit.
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bit_flags(mask: int, width: int) -> bytes:
+    """Byte k is bit k of mask (0 or 1), for every k < width."""
+    return format(mask, f"0{width}b").encode().translate(_TO_FLAGS)[::-1]
+
+
+def _gather(positions):
+    """A function giving the items of a sequence at positions, as a tuple.
+
+    positions must not be empty; for one position, itemgetter alone would
+    give the bare item."""
+    get = itemgetter(*positions)
+    return (lambda seq: (get(seq),)) if len(positions) == 1 else get
+
+
+def _pack(flags) -> int:
+    """The mask with bit k set iff flags[k], for 0/1 (or bool) flags, at
+    least one."""
+    return int(bytes(flags)[::-1].translate(_TO_DIGITS), 2)
+
+
 @dataclass(frozen=True)
 class PieceRecord:
     """Per-piece metadata: the ^JW label and everything derived from it."""
@@ -192,25 +222,22 @@ def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
 
     Row a is read off one mask: up, the OR of the Bruhat up-sets of the
     minimal elements of the orbit of a^-1. Bit b of the row is the bit of up
-    at the first minimal element of the orbit of b^-1; `oracle.check_order_axioms`
-    checks that every minimal element of that orbit gives the same bit and that
-    the rows form a partial order. The covers of a are the b above a that lie
-    above no other c strictly above a: above(a) minus the OR of the rows of
-    those c. Memoized per J in tc's `_memo`, like its orbit partitions.
+    at the first minimal element of the orbit of b^-1; one gather reads it for
+    every b. `oracle.check_order_axioms` checks that every minimal element of
+    that orbit gives the same bit and that the rows form a partial order. The
+    covers of a are the b above a that lie above no other c strictly above
+    a: above(a) minus the OR of the strict rows of those c. Memoized per J
+    in tc's `_memo`, like its orbit partitions.
     """
     g = tc.group
     records = piece_records(tc, J)
-    targets = [1 << rec.orbit_min[0].index for rec in records]
-    rows = []
-    for rec in records:
-        up = _up_mask(g, rec.orbit_min)
-        rows.append(sum(1 << ib for ib, target in enumerate(targets) if up & target))
+    n = len(records)
+    at_targets = _gather([rec.orbit_min[0].index for rec in records])
+    rows = [_pack(at_targets(_bit_flags(_up_mask(g, rec.orbit_min), g.order))) for rec in records]
+    strict = [row & ~(1 << a) for a, row in enumerate(rows)]
     hasse = []  # a and then b ascend, so the edges come out sorted
-    for a, row in enumerate(rows):
-        above = row & ~(1 << a)
-        through = 0
-        for c in _bits(above):
-            through |= rows[c] & ~(1 << c)
+    for a, above in enumerate(strict):
+        through = reduce(or_, compress(strict, _bit_flags(above, n)), 0)
         hasse.extend((a, b) for b in _bits(above & ~through))
     return ClosurePoset(J, records, tuple(rows), tuple(hasse))
 

@@ -11,18 +11,21 @@ length-additive steps.
 
 Orbits, shift classes and strong-conjugacy classes are three partitions of W,
 and each is the set of connected components of a symmetric relation on
-element indices, found by one walk (`_components`): the twist steps
+element indices, found by one walk (`_walk`): the twist steps
 y -> s_d(j) y s_j, the length-preserving shift steps, and the length-additive,
-length-preserving twists by elements of W_J. Parts are ordered by smallest
-member and numbered in that order; each part is an `array('I')` of element
-indices and the part numbers are an `array('I')` indexed by element, so a
-partition of W makes no element objects. A twisted orbit creates its member
-and minimal elements when they are read.
+length-preserving twists by elements of W_J. Orbits and shift classes are
+walked whole (`_components`): parts are ordered by smallest member and
+numbered in that order; each part is an `array('I')` of element indices and
+the part numbers are an `array('I')` indexed by element, so a partition of W
+makes no element objects. Strong-conjugacy parts are walked one at a time, on
+the first lookup of a member (`_PartLabels`). A twisted orbit creates its
+member and minimal elements when they are read.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -152,6 +155,19 @@ def simple_image(w: WeylElement, k: int) -> int | None:
 _UNSEEN = 0xFFFFFFFF  # part number of an index the walk has not reached
 
 
+def _walk(neighbours, part_of: array, start: int, pid: int) -> list[int]:
+    """Give the part of start, unreached so far, the number pid in part_of;
+    return its members in the order found."""
+    part_of[start] = pid
+    found = [start]
+    for y in found:  # found grows while it is walked
+        for z in neighbours(y):
+            if part_of[z] == _UNSEEN:
+                part_of[z] = pid
+                found.append(z)
+    return found
+
+
 def _components(n: int, neighbours) -> tuple[list[array], array]:
     """Connected components of a symmetric relation on range(n).
 
@@ -162,19 +178,38 @@ def _components(n: int, neighbours) -> tuple[list[array], array]:
     part_of = array("I", [_UNSEEN]) * n
     parts: list[array] = []
     for start in range(n):
-        if part_of[start] != _UNSEEN:
-            continue
-        pid = len(parts)
-        part_of[start] = pid
-        found = [start]
-        for y in found:  # found grows while it is walked
-            for z in neighbours(y):
-                if part_of[z] == _UNSEEN:
-                    part_of[z] = pid
-                    found.append(z)
-        found.sort()
-        parts.append(array("I", found))
+        if part_of[start] == _UNSEEN:
+            found = _walk(neighbours, part_of, start, len(parts))
+            found.sort()
+            parts.append(array("I", found))
     return parts, part_of
+
+
+class _PartLabels:
+    """The part numbers of the connected components of a symmetric relation
+    on range(n), as `_components` gives them, with each part walked on the
+    first lookup of one of its members.
+
+    Parts are numbered in the order they are walked, so reading every index
+    in increasing order gives `_components`' numbering. A walk runs under a
+    lock: two threads that miss on one part must not number it twice."""
+
+    def __init__(self, n: int, neighbours):
+        self._neighbours = neighbours
+        self._part_of = array("I", [_UNSEEN]) * n
+        self._walked = 0
+        self._lock = threading.Lock()
+
+    def __getitem__(self, k: int) -> int:
+        pid = self._part_of[k]
+        if pid == _UNSEEN:
+            with self._lock:
+                pid = self._part_of[k]
+                if pid == _UNSEEN:
+                    pid = self._walked
+                    _walk(self._neighbours, self._part_of, k, pid)
+                    self._walked += 1
+        return pid
 
 
 @dataclass(frozen=True)
@@ -387,13 +422,17 @@ class TwistedConjugation:
     # -- strong conjugacy ----------------------------------------------------------
 
     @memoized
-    def _strong_components(self, J: frozenset[int]) -> array:
+    def _strong_components(self, J: frozenset[int]) -> _PartLabels:
         # The relation is symmetric: twisting z = d(x) w x^-1 by x^-1 gives
         # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
         # length additivity over to the reverse step.
         # Per element w, one sweep of the W_J tree (as in WeylGroup._sweep)
         # gives d(x) w, w x^-1 and d(x) w x^-1 for every x in W_J, each from
-        # its parent's values.
+        # its parent's values. A part is walked when one of its members is
+        # first looked up: a step keeps the length and stays in the orbit, so
+        # the part of an orbit minimum holds only minima of that orbit, and
+        # `oracle.check_strong_conjugacy`, which looks up only minima, walks
+        # nothing else.
         g = self.group
         dl, rmul, length = self._dlmul, g._rmul, g._length
         lxs = [x.length for x in g.parabolic_elements(J)]
@@ -414,7 +453,7 @@ class TwistedConjugation:
                 if length[v] == lw and lw + lx in (length[a], length[b])
             ]
 
-        return _components(g.order, twists)[1]
+        return _PartLabels(g.order, twists)
 
     def strongly_conjugate(self, w: WeylElement, w2: WeylElement, J) -> bool:
         """Whether w ~ w2: a chain of length-preserving, length-additive twists."""

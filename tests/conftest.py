@@ -1,4 +1,6 @@
 import functools
+import os
+import select
 
 import pytest
 
@@ -65,8 +67,6 @@ def scope_configs():
 def verify_workers(monkeypatch):
     """Force the number of processes the verify suite runs on; after the test,
     no child process may be left, running or unreaped."""
-    import os
-
     from flagpieces import oracle
 
     def force(width: int) -> None:
@@ -75,3 +75,34 @@ def verify_workers(monkeypatch):
     yield force
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class _Handshake:
+    """A pipe through which a check planted in the per-J jobs makes the
+    caller wait until a worker has started one of them, so that with any
+    pull order a worker runs at least one per-J job."""
+
+    def __init__(self):
+        self._read, self._write = os.pipe()
+
+    def started(self) -> None:
+        """Called in a worker, in a per-J job."""
+        os.write(self._write, b"x")
+
+    def wait(self, timeout: float = 30) -> None:
+        """Called in the caller, in a per-J job: block until some worker has
+        called `started` (the byte stays in the pipe, so later waits return
+        at once)."""
+        if not select.select([self._read], [], [], timeout)[0]:
+            raise TimeoutError("no worker started a per-J job")
+
+    def close(self) -> None:
+        os.close(self._read)
+        os.close(self._write)
+
+
+@pytest.fixture
+def worker_handshake():
+    handshake = _Handshake()
+    yield handshake
+    handshake.close()

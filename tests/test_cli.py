@@ -283,26 +283,30 @@ def test_verify_output_same_for_any_worker_count(capsys, verify_workers, cartan,
         assert runs[2] == runs[0]
 
 
-def _plant_in_worker(monkeypatch, action):
+def _plant_in_worker(monkeypatch, handshake, action):
     """Make every per-J check run `action` in a worker process and pass in
-    this one."""
+    this one once a worker has started a per-J job, so that a worker runs
+    one whichever jobs this process pulls."""
     from flagpieces import oracle
 
     parent = os.getpid()
 
     def check(tc, J):
         if os.getpid() != parent:
+            handshake.started()
             action()
+        else:
+            handshake.wait()
         return oracle.OracleReport("planted")
 
     monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("planted", check),))
 
 
-def test_worker_out_of_memory_exits_2(capsys, monkeypatch, verify_workers):
+def test_worker_out_of_memory_exits_2(capsys, monkeypatch, verify_workers, worker_handshake):
     def exhausted():
         raise MemoryError
 
-    _plant_in_worker(monkeypatch, exhausted)
+    _plant_in_worker(monkeypatch, worker_handshake, exhausted)
     verify_workers(2)
     code, out, err = run_cli(capsys, "--cartan", "A2", "--delta", "id", "verify")
     assert code == 2
@@ -318,8 +322,8 @@ def test_worker_out_of_memory_exits_2(capsys, monkeypatch, verify_workers):
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal SIGKILL"),
     ],
 )
-def test_worker_death_exits_2(capsys, monkeypatch, verify_workers, end, status):
-    _plant_in_worker(monkeypatch, end)
+def test_worker_death_exits_2(capsys, monkeypatch, verify_workers, worker_handshake, end, status):
+    _plant_in_worker(monkeypatch, worker_handshake, end)
     verify_workers(2)
     code, out, err = run_cli(capsys, "--cartan", "A2", "--delta", "id", "verify")
     assert code == 2
@@ -327,9 +331,11 @@ def test_worker_death_exits_2(capsys, monkeypatch, verify_workers, end, status):
     assert err == f"error: a verify worker ended without a result ({status})\n"
 
 
-def test_verify_subprocess_matches_in_process(capsys, verify_workers):
-    # a fresh interpreter forks its workers as a benchmark run does
-    args = ["--cartan", "B3", "--delta", "id", "verify"]
+@pytest.mark.parametrize("cartan,delta", [("B3", "id"), ("D4", "tri")])
+def test_verify_subprocess_matches_in_process(capsys, verify_workers, cartan, delta):
+    # a fresh interpreter forks its workers and fills their job queue as a
+    # benchmark run does
+    args = ["--cartan", cartan, "--delta", delta, "verify"]
     verify_workers(1)
     _, expected, _ = run_cli(capsys, *args)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -344,8 +350,10 @@ def test_verify_subprocess_matches_in_process(capsys, verify_workers):
     assert proc.stdout == expected
 
 
-# verify on A4 with W = 2, where every per-J job in the worker logs its pid
-# and sleeps 2 s, so the worker's share lasts about 16 s
+# verify on A4 with W = 2, where every per-J job sleeps 2 s and, in the
+# worker, first logs its pid: the caller pulls one job per 2 s as well, so
+# the worker runs per-J jobs and some are left in the queue when the caller
+# is killed
 _SLOW_WORKER = """
 import os, sys, time
 from flagpieces import cli, oracle
@@ -356,7 +364,7 @@ def slow(tc, J):
     if os.getpid() != caller:
         with open(sys.argv[1], "a") as log:
             log.write(f"{os.getpid()}\\n")
-        time.sleep(2)
+    time.sleep(2)
     return oracle.OracleReport("slow")
 
 oracle.PER_SUBSET_CHECKS = (("slow", slow),)

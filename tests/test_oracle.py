@@ -122,6 +122,38 @@ def test_closure_matrix_oracle_empty_j_is_bruhat(tc_of):
             assert matrix[a][b] == g.bruhat_leq(u, v)
 
 
+@pytest.mark.parametrize(
+    "label,spec,subsets",
+    [("A3", "flip", None), ("B3", "id", None), ("D4", "tri", [{1, 3}, {1, 3, 4}])],
+)
+def test_closure_matrix_oracle_matches_per_cell_reference(tc_of, label, spec, subsets):
+    # each cell from the definition: orbits as products d(x) w x^-1 over the
+    # elements x of W_J, and "every minimum v' of the orbit of w2 lies above
+    # some minimum v of the orbit of w" decided by subword scans; the chosen
+    # subsets have orbits with several minima
+    tc = tc_of(label, spec)
+    g = tc.group
+    lower = {}  # v' -> the indices of the elements below it
+    several = 0
+    for J in subsets or subsets_of(g.simple_indices):
+        reps, matrix = closure_matrix_oracle(tc, J)
+        xs = g.parabolic_elements(J)
+        mins = []
+        for w in reps:
+            orbit = {tc.twisted_conjugate(x, w, J) for x in xs}
+            low = min(v.length for v in orbit)
+            mins.append([v for v in orbit if v.length == low])
+        several += sum(len(m) > 1 for m in mins)
+        for vp in {vp for m in mins for vp in m} - lower.keys():
+            lower[vp] = {u.index for u in bruhat_lower_set_oracle(vp)}
+        expected = [
+            [all(any(v.index in lower[vp] for v in ma) for vp in mb) for mb in mins]
+            for ma in mins
+        ]
+        assert matrix == expected, sorted(J)
+    assert several > 0
+
+
 def test_closure_matrix_oracle_a2_chain(tc_of):
     tc = tc_of("A2", "id")
     reps, matrix = closure_matrix_oracle(tc, {1})
@@ -329,10 +361,16 @@ def test_subset_checks_build_the_closure_poset_once(group_of, monkeypatch):
 
 
 @pytest.mark.parametrize("width", [2, 3])
-def test_failure_count_exact_with_worker_processes(group_of, monkeypatch, verify_workers, width):
+def test_failure_count_exact_with_worker_processes(
+    group_of, monkeypatch, verify_workers, worker_handshake, width
+):
     parent = os.getpid()
 
     def noisy(tc, J):
+        if os.getpid() != parent:
+            worker_handshake.started()
+        else:
+            worker_handshake.wait()
         rep = OracleReport("noisy")
         for k in range(5):
             rep.instances_checked += 1
@@ -348,23 +386,72 @@ def test_failure_count_exact_with_worker_processes(group_of, monkeypatch, verify
     assert [d for d, _, _ in merged.failures] == (
         [f"J=[] #{k}" for k in range(5)] + [f"J=[1] #{k}" for k in range(3)]
     )
-    # J = {1} is job 7: a worker's for W = 2 and W = 3
-    assert [got for _, _, got in merged.failures] == ["parent"] * 5 + ["worker"] * 3
+    # each J ran in one process, the caller or a worker, and a worker ran
+    # at least one per-J job (the handshake)
+    got = [got for _, _, got in merged.failures]
+    assert len(set(got[:5])) == len(set(got[5:])) == 1
+    assert set(got) <= {"parent", "worker"}
     assert merged.summary_line() == "FAIL noisy (20 instances, 20 failures)"
 
 
-def test_worker_exception_is_raised_again_in_parent(group_of, monkeypatch, verify_workers):
+@pytest.mark.parametrize("width", [2, 3])
+def test_every_job_runs_exactly_once(group_of, monkeypatch, verify_workers, tmp_path, width):
+    # every check logs its job to one file, whichever process pulls it
+    log = tmp_path / "jobs.log"
+
+    def logged(name, per_subset):
+        def check(*args):
+            with open(log, "a") as out:  # one short append per job
+                out.write(f"{name} {sorted(args[1]) if per_subset else ''}\n")
+            return OracleReport(name)
+
+        return check
+
+    monkeypatch.setattr(
+        oracle, "GROUP_CHECKS", tuple((n, logged(n, False)) for n, _ in oracle.GROUP_CHECKS)
+    )
+    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("logged", logged("logged", True)),))
+    verify_workers(width)
+    g = group_of("B3")
+    reports = oracle.run_all_checks(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    assert [r.check_name for r in reports] == [n for n, _ in oracle.GROUP_CHECKS] + ["logged"]
+    ran = sorted(log.read_text().splitlines())
+    expected = [f"{n} " for n, _ in oracle.GROUP_CHECKS]
+    expected += [f"logged {sorted(J)}" for J in subsets_of(g.simple_indices)]
+    assert ran == sorted(expected)
+
+
+def test_pull_order_longest_first(group_of):
+    # A2, |W| = 6: J = {} costs 6^2 + 6 * 1 = 42, {1, 2} 1 + 6 * 6 = 37, and
+    # {1} and {2} 3^2 + 6 * 2 = 21 each, kept in serial order
+    assert oracle._pull_order(group_of("A2")) == [0, 1, 2, 3, 4, 5, 6, 9, 7, 8]
+    g = group_of("B3")
+    subsets = subsets_of(g.simple_indices)
+    order = oracle._pull_order(g)
+    assert order[:6] == list(range(6)) and sorted(order) == list(range(6 + len(subsets)))
+    costs = []
+    for k in order[6:]:
+        n_reps = len(g.min_coset_reps(subsets[k - 6], "right"))
+        costs.append((n_reps * n_reps + g.order * (g.order // n_reps), -k))
+    assert costs == sorted(costs, reverse=True)
+
+
+def test_worker_exception_is_raised_again_in_parent(
+    group_of, monkeypatch, verify_workers, worker_handshake
+):
     parent = os.getpid()
 
     def bad(tc, J):
         if os.getpid() != parent:
+            worker_handshake.started()
             raise ValueError(f"planted in a worker, J={sorted(J)}")
+        worker_handshake.wait()
         return OracleReport("bad")
 
     monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("bad", bad),))
     verify_workers(2)
     g = group_of("A2")
-    with pytest.raises(ValueError, match=r"planted in a worker, J=\[1\]") as raised:
+    with pytest.raises(ValueError, match=r"planted in a worker, J=\[") as raised:
         oracle.run_all_checks(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
     # the worker's frames come back as a note, down to the failing check
     (note,) = raised.value.__notes__

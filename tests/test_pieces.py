@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import random
 from array import array
 
 import pytest
@@ -461,3 +462,103 @@ def test_e6_pieces_create_few_elements():
     assert made < 1000 < g.order
     orbit_of = tc.orbit_partition(J)[1]
     assert isinstance(orbit_of, array) and orbit_of.typecode == "I"
+
+
+@pytest.mark.parametrize(
+    "mask,width,flags",
+    [
+        (0, 1, [0]),
+        (1, 1, [1]),
+        (0, 5, [0, 0, 0, 0, 0]),
+        (0b10000, 5, [0, 0, 0, 0, 1]),  # the top bit
+        (0b1011, 6, [1, 1, 0, 1, 0, 0]),
+    ],
+)
+def test_bit_flags_pack_round_trip(mask, width, flags):
+    assert list(pieces_mod._bit_flags(mask, width)) == flags
+    assert pieces_mod._pack(flags) == mask
+    assert pieces_mod._pack([bool(f) for f in flags]) == mask
+
+
+def test_bit_kernels_gather():
+    flags = pieces_mod._bit_flags(0b100101, 6)
+    assert pieces_mod._gather([2])(flags) == (1,)  # one position: still a tuple
+    assert pieces_mod._gather([5, 0, 1])(flags) == (1, 1, 0)
+    assert pieces_mod._pack(pieces_mod._gather([1])(flags)) == 0
+    # a mask wider than the width keeps its low bits in place
+    assert list(pieces_mod._bit_flags(0b1101, 2)[:2]) == [1, 0]
+
+
+def _pairwise_partial_order(rows) -> str | None:
+    """The pair loop: the message of the first pair, in row order, that
+    breaks reflexivity, antisymmetry or transitivity; None for a partial
+    order."""
+    n = len(rows)
+    for a in range(n):
+        if not (rows[a] >> a) & 1:
+            return f"closure relation is not reflexive at node {a}"
+        for b in range(n):
+            if (rows[a] >> b) & 1:
+                if a != b and (rows[b] >> a) & 1:
+                    return f"closure relation is not antisymmetric at {a}, {b}"
+                if rows[b] | rows[a] != rows[a]:
+                    return f"closure relation is not transitive at {a}, {b}"
+    return None
+
+
+def _or_rows(rows, mask):
+    """The OR of the rows at the set bits of mask."""
+    out = 0
+    for b in range(len(rows)):
+        if (mask >> b) & 1:
+            out |= rows[b]
+    return out
+
+
+def _random_relations(rng, count):
+    """Rows of relations on 1 to 12 nodes: partial orders (reflexive
+    transitive closures of random DAGs on a shuffled node order), some then
+    broken by a dropped diagonal bit, a flipped cell or a duplicated row."""
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [1 << a for a in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    rows[perm[i]] |= 1 << perm[j]
+        for _ in range(n):  # transitive closure
+            rows = [row | _or_rows(rows, row) for row in rows]
+        kind = rng.choice(("order", "diagonal", "flip", "duplicate"))
+        if kind == "diagonal":
+            a = rng.randrange(n)
+            rows[a] &= ~(1 << a)
+        elif kind == "flip":
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        elif kind == "duplicate" and n > 1:
+            a, b = rng.sample(range(n), 2)
+            rows[a] = rows[b]
+        yield kind, rows
+
+
+def test_check_partial_order_matches_pair_loop():
+    # the whole-row test must give the pair loop's outcome and first message
+    from flagpieces.oracle import _check_partial_order
+
+    seen = set()
+    for kind, rows in _random_relations(random.Random(2024), 3000):
+        expected = _pairwise_partial_order(rows)
+        try:
+            _check_partial_order(rows)
+            got = None
+        except AssertionError as exc:
+            got = str(exc)
+        assert got == expected, (kind, rows)
+        seen.add("partial order" if expected is None else expected.split(" at ")[0])
+    assert seen == {
+        "partial order",
+        "closure relation is not reflexive",
+        "closure relation is not antisymmetric",
+        "closure relation is not transitive",
+    }

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import SCOPE, root_perm
 
@@ -11,7 +13,15 @@ from flagpieces.oracle import (
     check_strong_conjugacy,
     subsets_of,
 )
-from flagpieces.twist import AutomorphismError, DiagramAutomorphism, delta_on_element, simple_image
+from flagpieces.twist import (
+    _UNSEEN,
+    AutomorphismError,
+    DiagramAutomorphism,
+    _components,
+    _PartLabels,
+    delta_on_element,
+    simple_image,
+)
 
 
 def _delta(group, spec):
@@ -421,6 +431,43 @@ def test_strong_classes_match_union_find(tc_of, label, spec):
     for J in subsets_of(tc.group.simple_indices):
         expected = _first_seen_labels(_union_find_strong_classes(tc, J))
         assert _first_seen_labels(tc._strong_components(J)) == expected
+
+
+def test_strong_conjugacy_check_labels_only_orbit_minima(group_of):
+    # check_strong_conjugacy looks up orbit minima only, and a strong step
+    # keeps length inside the orbit, so no other element is walked; a fresh
+    # action, so that no other test has looked anything up in it
+    g = group_of("D4")
+    tc = fp.TwistedConjugation(g, _delta(g, "tri"))
+    J = frozenset(g.simple_indices)
+    assert check_strong_conjugacy(tc, J).passed
+    labels = tc._strong_components(J)
+    walked = {k for k, pid in enumerate(labels._part_of) if pid != _UNSEEN}
+    minima = {v.index for orbit in tc.orbit_partition(J)[0] for v in orbit.min_elements}
+    assert walked == minima
+    assert len(minima) < g.order
+
+
+def test_part_labels_walk_on_demand_as_components_number_them():
+    # a random symmetric relation on 200 indices: read in increasing order,
+    # the on-demand labels are _components' numbering; read in any order,
+    # they give the same partition
+    rng = random.Random(7)
+    n = 200
+    adj = [set() for _ in range(n)]
+    for _ in range(150):
+        a, b = rng.randrange(n), rng.randrange(n)
+        adj[a].add(b)
+        adj[b].add(a)
+    nb = lambda k: sorted(adj[k])
+    parts, part_of = _components(n, nb)
+    assert list(_PartLabels(n, nb)) == list(part_of)
+    order = list(range(n))
+    rng.shuffle(order)
+    shuffled = _PartLabels(n, nb)
+    first = {k: shuffled[k] for k in order}
+    assert _first_seen_labels(first[k] for k in range(n)) == list(part_of)
+    assert shuffled._walked == len(parts)
 
 
 @pytest.mark.parametrize("label,spec", SCOPE_CONFIGS)
