@@ -212,9 +212,10 @@ def enumerate_stabilizing_sequences(tc: TwistedConjugation, J) -> list[TwistedSe
 def closure_matrix_oracle(tc: TwistedConjugation, J):
     """Literal evaluation of the twisted order over W^J x W^J.
 
-    Returns (reps, matrix) with matrix[a][b] = (reps[a] <= reps[b]). Orbits
-    and their minimal sets are recomputed as one literal pass over W_J, and
-    the some/any forms of the definition are both evaluated and compared.
+    Returns (reps, matrix, minima): matrix[a][b] = (reps[a] <= reps[b]), and
+    minima[b] the orbit minima of reps[b], ascending indices. Orbits and their
+    minima are recomputed as one literal pass over W_J, and the some/any
+    forms of the definition are both evaluated and compared.
     "Some minimal v of the orbit of w lies below v'" is bit v' of the OR of
     the Bruhat up-sets of those v; one gather reads that bit at every v'.
     """
@@ -249,7 +250,7 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
                 f"some/any disagree for w={w!r}, w2={w2!r}, J={sorted(J)}"
             )
         matrix.append(row)
-    return reps, matrix
+    return reps, matrix, [tuple(flat[start:end]) for start, end in zip(starts, ends)]
 
 
 # -- positive roots, by root strings ---------------------------------------------------
@@ -670,11 +671,12 @@ def _check_partial_order(rows) -> None:
 
 
 def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
-    """closure_poset vs the literal matrix; at J = empty, vs the Bruhat order."""
+    """closure_poset vs the literal matrix, and each record's orbit minima vs
+    the literal ones (counted with its row); at J = empty, vs Bruhat order."""
     rep = OracleReport("closure-agreement")
     g = tc.group
     J = frozenset(J)
-    reps, matrix = closure_matrix_oracle(tc, J)
+    reps, matrix, minima = closure_matrix_oracle(tc, J)
     pos = {w: k for k, w in enumerate(reps)}
     poset = pieces_mod.closure_poset(tc, J)
     records = poset.records
@@ -696,6 +698,11 @@ def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
             at_cols(matrix[pos[ra.inv_w]]),
             lambda ib: f"J={sorted(J)} {words[ia]} <= {words[ib]}",
         )
+        literal = minima[pos[ra.inv_w]]
+        if tuple(v.index for v in ra.orbit_min) != literal:
+            expected = [word_str(g.elements[k]) for k in literal]
+            got = [word_str(v) for v in ra.orbit_min]
+            rep.record(f"J={sorted(J)} orbit minima of {words[ia]}^-1", expected, got)
     if not J:
         reach = g._bruhat_up_reach
         idx = [r.index_w.index for r in records]

@@ -78,6 +78,7 @@ def validate_sequence(tc: TwistedConjugation, seq: TwistedSequence) -> None:
         raise SequenceError("stable pair does not match the final step")
 
 
+@memoized
 def sequence_for(tc: TwistedConjugation, J, w: WeylElement) -> TwistedSequence:
     """Stabilizing sequence of the piece labeled by w^-1, for w in W^J.
 
@@ -85,9 +86,10 @@ def sequence_for(tc: TwistedConjugation, J, w: WeylElement) -> TwistedSequence:
     and J_{n+1} = J_n intersect Ad(w_n) d(J_n), read off `_restricted_image`.
     w_n depends only on J_n, so the pair first repeats when J_{n+1} = J_n,
     after at most |J| + 1 steps. `oracle.check_sequence_bijection` checks it.
+    Memoized per (J, w) in tc's `_memo`, so `sequence_root_inclusions` reuses
+    the sequences that the bijection check made.
     """
     g, delta = tc.group, tc.delta
-    J = frozenset(J)
     if not g.is_min_left_rep(w, J):
         raise ValueError(f"w = {w!r} is not a minimal coset representative for J={sorted(J)}")
     winv = w.inverse()
@@ -226,8 +228,9 @@ def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
     every b. `oracle.check_order_axioms` checks that every minimal element of
     that orbit gives the same bit and that the rows form a partial order. The
     covers of a are the b above a that lie above no other c strictly above
-    a: above(a) minus the OR of the strict rows of those c. Memoized per J
-    in tc's `_memo`, like its orbit partitions.
+    a: above(a) minus the OR of the strict rows of those c. The minima come
+    from `tc.orbit_min`, one shift class per label; no orbit partition of W
+    is built. Memoized per J in tc's `_memo`.
     """
     g = tc.group
     records = piece_records(tc, J)

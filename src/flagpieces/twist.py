@@ -13,13 +13,15 @@ Orbits, shift classes and strong-conjugacy classes are three partitions of W,
 and each is the set of connected components of a symmetric relation on
 element indices, found by one walk (`_walk`): the twist steps
 y -> s_d(j) y s_j, the length-preserving shift steps, and the length-additive,
-length-preserving twists by elements of W_J. Orbits and shift classes are
-walked whole (`_components`): parts are ordered by smallest member and
-numbered in that order; each part is an `array('I')` of element indices and
-the part numbers are an `array('I')` indexed by element, so a partition of W
-makes no element objects. Strong-conjugacy parts are walked one at a time, on
-the first lookup of a member (`_PartLabels`). A twisted orbit creates its
-member and minimal elements when they are read.
+length-preserving twists by elements of W_J. Orbit and shift-class
+partitions are walked whole (`_components`): parts are ordered by smallest
+member and numbered in that order; each part is an `array('I')` of element
+indices and the part numbers are an `array('I')` indexed by element, so a
+partition of W makes no element objects. The orbit minima of one y in W^J
+are walked alone, as the shift class of y (`orbit_min`). Strong-conjugacy
+parts are walked one at a time, on the first lookup of a member
+(`_PartLabels`). A twisted orbit creates its member and minimal elements
+when they are read.
 """
 
 from __future__ import annotations
@@ -321,7 +323,33 @@ class TwistedConjugation:
         return orbits[orbit_of[y.index]]
 
     def orbit_min(self, y: WeylElement, J) -> tuple[WeylElement, ...]:
-        return self.orbit(y, J).min_elements
+        """Minimal elements of the twisted W_J-orbit of y in W^J, ascending by
+        index (for any other y, read `orbit(y, J).min_elements`): the shift
+        class of y, walked alone, so no orbit is walked whole.
+
+        (i) y is minimal: for x in W_J, l(y x^-1) = l(y) + l(x) as y is in W^J,
+        and l(d(x)) = l(x), so l(d(x) y x^-1) >= l(y x^-1) - l(x) = l(y).
+        (ii) The minima of an orbit that meets W^J are one shift class. This is
+        asserted, not proved: by `oracle.check_strong_conjugacy`, and by
+        `oracle.check_closure_agreement` against the literal orbit minima.
+        """
+        if not self.group.is_min_left_rep(y, J):
+            raise ValueError(f"y = {y!r} is not a minimal coset representative for J={sorted(J)}")
+        return tuple(map(self.group.elements.__getitem__, self._shift_class_of(J, y.index)))
+
+    @memoized
+    def _shift_class_of(self, J, y: int) -> tuple[int, ...]:
+        """The indices reached from index y by length-preserving shift steps,
+        ascending."""
+        length, steps = self.group._length, self._twist_steps(J)
+        found, seen = [y], {y}
+        for u in found:  # found grows while it is walked
+            for dl, r in steps:
+                z = r[dl[u]]
+                if z not in seen and length[z] == length[y]:
+                    seen.add(z)
+                    found.append(z)
+        return tuple(sorted(found))
 
     # -- stabilizer type -------------------------------------------------------
 

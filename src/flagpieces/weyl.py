@@ -180,13 +180,14 @@ class WeylGroup:
         field = (1 << width) - 1
         shifts = [width * j for j in range(rank)]
         columns = [sum(a[j][i] << s for j, s in enumerate(shifts)) for i in range(rank)]
-        left = [array("I", [0]) for _ in range(rank)]
+        # sized for the order at once; doubled only if the search finds more
+        n, capacity = 1, datum.weyl_group_order
+        left = [array("I", [0]) * capacity for _ in range(rank)]
         length, first, last = array("B", [0]), array("B", [0]), array("B", [0])
         pre = array("I", [0])
         level = [sum((2 + offset) << s for s in shifts)]
         start = 0  # index of level[0]
         depth = 1  # length of the elements found from level
-        n = capacity = 1
         while level:
             ids: dict[int, int] = {}
             for i in range(rank):
@@ -227,6 +228,7 @@ class WeylGroup:
         inv = array("I", [0])
         for k in range(1, n):
             inv.append(left[last[k] - 1][inv[pre[k]]])
+        del last, pre  # before the right tables are made, to lower the peak
         self._inverse_index = inv
         # multiplication tables, indexed by the 1-based simple index (slot 0 is
         # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i,

@@ -115,7 +115,7 @@ def test_enumerated_sequences_satisfy_conditions(tc_of):
 def test_closure_matrix_oracle_empty_j_is_bruhat(tc_of):
     tc = tc_of("A2", "id")
     g = tc.group
-    reps, matrix = closure_matrix_oracle(tc, set())
+    reps, matrix, _ = closure_matrix_oracle(tc, set())
     assert list(reps) == list(g.elements)
     for a, u in enumerate(reps):
         for b, v in enumerate(reps):
@@ -136,7 +136,7 @@ def test_closure_matrix_oracle_matches_per_cell_reference(tc_of, label, spec, su
     lower = {}  # v' -> the indices of the elements below it
     several = 0
     for J in subsets or subsets_of(g.simple_indices):
-        reps, matrix = closure_matrix_oracle(tc, J)
+        reps, matrix, minima = closure_matrix_oracle(tc, J)
         xs = g.parabolic_elements(J)
         mins = []
         for w in reps:
@@ -151,12 +151,13 @@ def test_closure_matrix_oracle_matches_per_cell_reference(tc_of, label, spec, su
             for ma in mins
         ]
         assert matrix == expected, sorted(J)
+        assert minima == [tuple(sorted(v.index for v in m)) for m in mins], sorted(J)
     assert several > 0
 
 
 def test_closure_matrix_oracle_a2_chain(tc_of):
     tc = tc_of("A2", "id")
-    reps, matrix = closure_matrix_oracle(tc, {1})
+    reps, matrix, _ = closure_matrix_oracle(tc, {1})
     assert len(reps) == 3
     # the order is total here: upper triangular in the deterministic order
     for a in range(3):
@@ -223,6 +224,20 @@ def test_closure_agreement_makes_no_bruhat_leq_calls(tc_of, monkeypatch):
         for J in subsets_of(tc.group.simple_indices):
             closure_matrix_oracle(tc, J)
             assert check_closure_agreement(tc, J).passed
+
+
+def test_closure_agreement_records_a_minima_walk_that_drops_a_step(group_of, monkeypatch):
+    # a fresh A2 action at J = {1}, whose minima walk loses its only step: the
+    # orbit of s1s2 keeps the minimum s1s2 but loses s2s1. The rows do not
+    # change (the order on the 3 pieces is a chain either way), and the
+    # instances stay those of the rows, 3 x 3
+    g = group_of("A2")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    real = tc._twist_steps
+    monkeypatch.setattr(tc, "_twist_steps", lambda J_: real(J_)[:-1])
+    rep = check_closure_agreement(tc, {1})
+    assert (rep.instances_checked, rep.failure_count) == (9, 1)
+    assert rep.failures == [("J=[1] orbit minima of 2,1^-1", "['1,2', '2,1']", "['1,2']")]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from flagpieces.oracle import (
     check_order_axioms,
     check_parabolic_restriction,
     check_root_inclusions,
+    closure_matrix_oracle,
     subsets_of,
 )
 from flagpieces.pieces import (
@@ -104,7 +105,17 @@ def test_sequence_for_runs_no_self_check(tc_of, monkeypatch):
 
     monkeypatch.setattr(pieces_mod, "validate_sequence", refuse)
     monkeypatch.setattr(fp.TwistedConjugation, "stabilizer_type", refuse)
-    assert [sequence_for(tc, J, w) for tc, J, w in cases] == expected
+    # fresh actions, so that no sequence is read back from the memo
+    fresh = {id(tc): fp.TwistedConjugation(tc.group, tc.delta) for tc, _, _ in cases}
+    assert [sequence_for(fresh[id(tc)], J, w) for tc, J, w in cases] == expected
+
+
+def test_sequence_for_is_memoized_per_j_and_w(tc_of):
+    tc = tc_of("B3", "id")
+    w = tc.group.from_word([1, 2])
+    first = sequence_for(tc, {1}, w)
+    assert sequence_for(tc, [1], w) is first
+    assert sequence_for(tc, {2}, tc.group.identity) is not first
 
 
 def test_validate_sequence_rejects_corruption(tc_of):
@@ -448,6 +459,40 @@ def test_twisted_leq_verify_detects_representative_dependence(tc_of, monkeypatch
     rep = check_order_axioms(tc, set())
     assert rep.failure_count == 1
     assert "not independent of the representative" in rep.failures[0][2]
+
+
+@pytest.mark.parametrize("label,spec", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])
+def test_pieces_build_no_orbit_partition(tc_of, monkeypatch, label, spec):
+    # a fresh action that cannot partition W into orbits gives the minima,
+    # rows, orders and closures of the literal oracle
+    base = tc_of(label, spec)
+    tc = fp.TwistedConjugation(base.group, base.delta)
+    g = tc.group
+
+    def refuse(J):
+        raise AssertionError("orbit_partition called")
+
+    monkeypatch.setattr(tc, "orbit_partition", refuse)
+    for J in subsets_of(g.simple_indices):
+        reps, matrix, minima = closure_matrix_oracle(tc, J)
+        pos = {w: k for k, w in enumerate(reps)}
+        records = piece_records(tc, J)
+        at = [pos[r.inv_w] for r in records]
+        assert [tuple(v.index for v in r.orbit_min) for r in records] == [minima[a] for a in at]
+        rows = closure_poset(tc, J).leq_rows
+        assert [[(row >> b) & 1 == 1 for b in range(len(at))] for row in rows] == [
+            [matrix[a][b] for b in at] for a in at
+        ]
+        for w in reps:
+            for w2 in (reps[-1], g.longest_element, g.simple_reflection(1)):
+                if w2 in pos:
+                    expected = matrix[pos[w]][pos[w2]]
+                else:
+                    expected = any(g.bruhat_leq(g.elements[v], w2) for v in minima[pos[w]])
+                assert twisted_leq(tc, J, w, w2) == expected
+        for b in g.min_coset_reps(J, "left")[::3]:
+            expected = tuple(r.index_w for r, a in zip(records, at) if matrix[a][pos[b.inverse()]])
+            assert piece_closure(tc, J, b) == expected
 
 
 def test_e6_pieces_create_few_elements():

@@ -553,3 +553,30 @@ def test_equal_orbits_hash_alike(group_of):
     assert [hash(o) for o in a] == [hash(o) for o in b]
     assert set(a) == set(b)
     assert len(set(a)) == len(a)
+
+
+@pytest.mark.parametrize(
+    "label,spec,subsets",
+    [
+        ("A3", "flip", None),
+        ("B3", "id", None),
+        ("D4", "tri", None),
+        ("G2", "id", None),
+        ("E6", "flip", [{1, 2, 3, 4, 5}, {2, 4}]),
+        ("E6", "id", [{2, 3, 4, 5}]),
+    ],
+)
+def test_orbit_min_of_a_label_is_its_orbit_minima(tc_of, label, spec, subsets):
+    # the shift-class walk against the minima of the whole orbit partition
+    tc = tc_of(label, spec)
+    g = tc.group
+    for J in subsets or subsets_of(g.simple_indices):
+        for y in g.min_coset_reps(J, "right"):
+            assert tc.orbit_min(y, J) == tc.orbit(y, J).min_elements, (sorted(J), y)
+
+
+def test_orbit_min_rejects_an_element_outside_w_j(tc_of):
+    tc = tc_of("A3", "flip")
+    s1 = tc.group.simple_reflection(1)  # s1 s1 < s1, so s1 is not in W^{1}
+    with pytest.raises(ValueError, match="minimal coset representative"):
+        tc.orbit_min(s1, {1})
