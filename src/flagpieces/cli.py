@@ -20,9 +20,11 @@ from .weyl import (
     GroupTooLargeError,
     WeylElement,
     WeylGroup,
+    check_ceiling,
     format_subset,
+    letters_str,
+    parse_letters,
     parse_subset,
-    parse_word,
     word_str,
 )
 
@@ -37,10 +39,10 @@ class ConfigError(Exception):
 @dataclass
 class Context:
     cfg: argparse.Namespace  # the parsed command line
-    group: WeylGroup
     delta: DiagramAutomorphism
-    tc: TwistedConjugation
     J: frozenset[int]
+    group: WeylGroup | None  # None for pieces, which builds no group table
+    tc: TwistedConjugation | None
     w: WeylElement | None
 
 
@@ -79,12 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_context(cfg: argparse.Namespace) -> Context:
     try:
         datum = CartanDatum.from_label(cfg.cartan)
-        group = WeylGroup(build_root_system(datum), cfg.max_elements)
-        delta = DiagramAutomorphism.from_spec(group.root_system, cfg.delta)
-        J = parse_subset(group, cfg.j)
-        w = parse_word(group, cfg.w) if cfg.w is not None else None
+        rs = build_root_system(datum)
+        if cfg.command == "pieces":  # enumerates W_J and ^JW, not W
+            check_ceiling(datum, cfg.max_elements)
+            group = None
+        else:
+            group = WeylGroup(rs, cfg.max_elements)
+        delta = DiagramAutomorphism.from_spec(rs, cfg.delta)
+        J = parse_subset(rs.rank, cfg.j)
+        letters = parse_letters(rs.rank, cfg.w) if cfg.w is not None else None
     except (CartanError, AutomorphismError, GroupTooLargeError, ValueError) as exc:
         raise ConfigError(str(exc))
+    w = group.from_word(letters) if group is not None and letters is not None else None
     if cfg.command == "sequence":
         if w is None:
             raise ConfigError("the sequence command requires --w")
@@ -97,7 +105,8 @@ def _build_context(cfg: argparse.Namespace) -> Context:
         raise ConfigError("the closure command requires --w")
     if cfg.format == "dot" and cfg.command != "poset":
         raise ConfigError("format 'dot' is only available for the poset command")
-    return Context(cfg, group, delta, TwistedConjugation(group, delta), J, w)
+    tc = TwistedConjugation(group, delta) if group is not None else None
+    return Context(cfg, delta, J, group, tc, w)
 
 
 def _subset_text(J) -> str:
@@ -114,7 +123,7 @@ def _irr_text(flag: bool | None) -> str:
 
 
 def cmd_pieces(ctx: Context) -> str:
-    records = pieces.piece_records(ctx.tc, ctx.J)
+    rows = pieces._piece_rows(ctx.delta, ctx.J)
     if ctx.cfg.format == "json":
         payload = {
             "cartan": ctx.cfg.cartan,
@@ -122,25 +131,25 @@ def cmd_pieces(ctx: Context) -> str:
             "J": sorted(ctx.J),
             "pieces": [
                 {
-                    "word": word_str(r.index_w),
-                    "length": r.index_w.length,
+                    "word": letters_str(r.word),
+                    "length": len(r.word),
                     "stabilizer": sorted(r.stabilizer_set),
-                    "orbit_min": [word_str(v) for v in r.orbit_min],
+                    "orbit_min": [letters_str(v) for v in r.orbit_min],
                     "irreducible": r.irreducible,
                 }
-                for r in records
+                for r in rows
             ],
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = [
         f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
-        f"J={_subset_text(ctx.J)} pieces={len(records)}"
+        f"J={_subset_text(ctx.J)} pieces={len(rows)}"
     ]
-    for r in records:
+    for r in rows:
         lines.append(
-            f"w={word_str(r.index_w)} len={r.index_w.length} "
+            f"w={letters_str(r.word)} len={len(r.word)} "
             f"stabilizer={_subset_text(r.stabilizer_set)} "
-            f"orbit_min={'|'.join(word_str(v) for v in r.orbit_min)} "
+            f"orbit_min={'|'.join(map(letters_str, r.orbit_min))} "
             f"irreducible={_irr_text(r.irreducible)}"
         )
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ pull job numbers from one pipe, the group checks first and then the subsets'
 jobs longest first, and the reports merge in the serial order: group checks
 first, then each per-subset check over the subsets in `subsets_of` order.
 The bit reads of the twisted-order checks are whole-row C-level calls
-(`pieces._bit_flags`, `_gather`, `_pack`); the orbits, minimal sets and
+(`weyl._bit_flags`, `_gather`, `_pack`); the orbits, minimal sets and
 quantifiers they read are still built literally.
 """
 
@@ -40,10 +40,7 @@ from . import pieces as pieces_mod
 from .pieces import (
     SequenceError,
     TwistedSequence,
-    _bit_flags,
     _bits,
-    _gather,
-    _pack,
     _up_mask,
     parabolic_restriction_type,
     sequence_for,
@@ -53,7 +50,7 @@ from .pieces import (
 )
 from .rootsys import CartanDatum, RootSystem, memoized
 from .twist import TwistedConjugation, stable_support, support
-from .weyl import WeylElement, WeylGroup, word_str
+from .weyl import WeylElement, WeylGroup, _bit_flags, _gather, _pack, word_str
 
 _MAX_FAILURES = 8  # per report; enough to debug without flooding output
 

@@ -128,15 +128,18 @@ def support(w: WeylElement) -> frozenset[int]:
 
 def stable_support(w: WeylElement, delta: DiagramAutomorphism) -> frozenset[int]:
     """Smallest delta-stable set of simple indices containing support(w)."""
-    out = set(support(w))
-    grew = True
-    while grew:
-        grew = False
-        for i in list(out):
-            j = delta(i)
-            if j not in out:
-                out.add(j)
-                grew = True
+    return _stable_closure(support(w), delta)
+
+
+def _stable_closure(subset, delta: DiagramAutomorphism) -> frozenset[int]:
+    """Smallest delta-stable set of simple indices containing subset."""
+    out = set(subset)
+    for i in list(out):
+        # delta permutes the indices: follow the cycle of i to a member
+        j = delta(i)
+        while j not in out:
+            out.add(j)
+            j = delta(j)
     return frozenset(out)
 
 
@@ -152,6 +155,19 @@ def simple_image(w: WeylElement, k: int) -> int | None:
             if lmul[j][x] == y:
                 return j
     return None
+
+
+def _stable_part(image: dict, delta: DiagramAutomorphism) -> frozenset[int]:
+    """Largest K inside the keys J of image with image(K) = d(K), where
+    image[k] is the j with w(alpha_k) = alpha_j, or None: the greatest
+    fixpoint of K -> {k in K : image[k] in d(K)}."""
+    K = set(image)
+    while True:
+        target = {delta(k) for k in K}
+        kept = {k for k in K if image[k] in target}
+        if kept == K:
+            return frozenset(K)
+        K = kept
 
 
 _UNSEEN = 0xFFFFFFFF  # part number of an index the walk has not reached
@@ -363,15 +379,7 @@ class TwistedConjugation:
         g = self.group
         if not g.is_min_left_rep(w, J):
             raise ValueError(f"w = {w!r} is not a minimal coset representative for J={sorted(J)}")
-        image = {k: simple_image(w, k) for k in J}
-        K = set(J)
-        while True:
-            target = {self.delta(k) for k in K}
-            kept = {k for k in K if image[k] in target}
-            if kept == K:
-                break
-            K = kept
-        return frozenset(K)
+        return _stable_part({k: simple_image(w, k) for k in J}, self.delta)
 
     # -- class decomposition ---------------------------------------------------
 

@@ -2,8 +2,10 @@
 
 A WeylGroup checks the closed-form order against the element ceiling, then
 enumerates the whole group breadth-first, one length level at a time, keyed on
-w(2 rho) packed into one int. Discovery order is already the deterministic
-element order (length, then lexicographically smallest reduced word). Per
+w(rho) packed into one int (`_level_search`, which also enumerates parabolic
+subgroups and the orbits of other weights). Discovery order is already the
+deterministic element order (length, then lexicographically smallest reduced
+word). Per
 element the group keeps only index arrays: its length and its smallest left
 descent (`array('B')`), and, for each simple index i, a left table (s_i w) and
 a right table (w s_i) of element indices (`array('I')`). A WeylElement is
@@ -38,10 +40,145 @@ class GroupTooLargeError(RuntimeError):
     """Raised when enumeration would exceed the element-count ceiling."""
 
 
-def _weight_field(n_positive: int) -> tuple[int, int]:
-    """Bit width and offset of one packed weight coordinate: a coordinate in
-    -2N..2N (N positive roots) is stored as coordinate + 2N in 0..4N."""
-    return (4 * n_positive).bit_length(), 2 * n_positive
+def check_ceiling(datum: CartanDatum, max_elements: int) -> None:
+    """Refuse a type whose closed-form group order exceeds max_elements."""
+    if datum.weyl_group_order > max_elements:
+        raise GroupTooLargeError(
+            f"group of type {datum.label} exceeds the element ceiling "
+            f"{max_elements}; pass a larger max_elements to enumerate it anyway"
+        )
+
+
+def _weight_field(root_system: RootSystem) -> tuple[int, int]:
+    """Bit width and offset of one packed weight coordinate.
+
+    A key coordinate <w(lambda), alpha_j^vee> equals <lambda, beta^vee> for the
+    root beta = w^-1(alpha_j). For lambda = rho, or any sum of distinct
+    fundamental weights, its absolute value is at most the height of the
+    highest coroot, h - 1 = 2N/n - 1 (Coxeter number h, N positive roots,
+    rank n), so it is stored plus h - 1 in 0..2(h - 1)."""
+    top = 2 * root_system.n_positive // root_system.rank - 1
+    return (2 * top).bit_length(), top
+
+
+# entry of a left table where s_i fixes the searched weight (see _level_search)
+_FIXED = 0xFFFFFFFF
+
+
+def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
+    """Breadth-first search of the orbit of a dominant weight under the simple
+    reflections s_i, i in letters (increasing), one length level at a time.
+
+    start gives the weight's fundamental-weight coordinates, each 0 or 1. An
+    orbit point lambda = w(start) stands for the shortest such w; it is keyed
+    by its coordinates lambda_j = <lambda, alpha_j^vee>, each stored plus the
+    offset in its own field of one int (`_weight_field`). s_i subtracts
+    lambda_i alpha_i, i.e. lambda_i times column i of the Cartan matrix, and
+    l(s_i w) > l(w) iff lambda_i > 0. With i as the outer loop and the level,
+    in order, as the inner one, each point is first reached from the smallest
+    left descent i of its w, so numbering by discovery gives the (length,
+    lexicographically smallest reduced word) order and that word is
+    (i,) + word(s_i w).
+
+    Returns (left, length, first): left[i][u] is the index of s_i u for i in
+    letters, or _FIXED where lambda_i = 0 and s_i fixes the point (the other
+    slots of left, 0 included, are empty); length[u] and first[u] are the
+    length and smallest left descent of w (first[0] = 0). capacity sizes the
+    tables at once, and they double if the search finds more points.
+    """
+    rank = root_system.rank
+    a = root_system.datum.cartan_matrix
+    width, offset = _weight_field(root_system)
+    field = (1 << width) - 1
+    shifts = [width * j for j in range(rank)]
+    left = [array("I") for _ in range(rank + 1)]
+    for i in letters:
+        left[i] = array("I", [_FIXED]) * capacity
+    length, first = array("B", [0]), array("B", [0])
+    n = 1
+    columns = {i: sum(a[j][i - 1] << s for j, s in enumerate(shifts)) for i in letters}
+    level = [sum((c + offset) << s for c, s in zip(start, shifts))]
+    base = 0  # index of level[0]
+    depth = 1  # length of the points found from level
+    while level:
+        ids: dict[int, int] = {}
+        for i in letters:
+            column, shift, li = columns[i], shifts[i - 1], left[i]
+            for u, key in enumerate(level, base):
+                lam = (key >> shift & field) - offset
+                if lam > 0:
+                    q = key - lam * column
+                    j = ids.get(q)
+                    if j is None:
+                        j = ids[q] = n
+                        n += 1
+                        if j == capacity:
+                            for k in letters:
+                                left[k].extend(array("I", [_FIXED]) * capacity)
+                            capacity *= 2
+                        length.append(depth)
+                        first.append(i)
+                    li[u] = j
+                    li[j] = u
+        base += len(level)
+        level = list(ids)
+        depth += 1
+    for i in letters:
+        del left[i][n:]
+    return left, length, first
+
+
+def _inverse(left, first) -> array:
+    """w^-1 per index, for the tables of a group (`_level_search` of rho).
+
+    w = s_f v for f = first[w], so the word of w less its last letter l is
+    pre[w] = s_f pre[v], and w^-1 = s_l pre[w]^-1."""
+    n = len(first)
+    inv, pre, last = array("I", [0]) * n, array("I", [0]) * n, array("B", [0]) * n
+    for w in range(1, n):
+        f = first[w]
+        v = left[f][w]
+        if v:
+            pre[w] = left[f][pre[v]]
+            f = last[v]
+        last[w] = f
+        inv[w] = left[f][inv[pre[w]]]
+    return inv
+
+
+def _right_tables(left, inv) -> tuple[array, ...]:
+    """The right tables of a group from its left ones: w s_i = (s_i w^-1)^-1."""
+    return tuple(
+        array("I", map(inv.__getitem__, map(lm.__getitem__, inv))) if lm else lm
+        for lm in left
+    )
+
+
+# Whole-row bit kernels: a mask becomes one byte per bit, a row of bits is
+# read at many positions by one itemgetter, and 0/1 flags pack back into a
+# mask, each in a C-level call instead of one big-int operation per bit.
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bit_flags(mask: int, width: int) -> bytes:
+    """Byte k is bit k of mask (0 or 1), for every k < width."""
+    return format(mask, f"0{width}b").encode().translate(_TO_FLAGS)[::-1]
+
+
+def _gather(positions):
+    """A function giving the items of a sequence at positions, as a tuple.
+
+    positions must not be empty; for one position, itemgetter alone would
+    give the bare item."""
+    get = operator.itemgetter(*positions)
+    return (lambda seq: (get(seq),)) if len(positions) == 1 else get
+
+
+def _pack(flags) -> int:
+    """The mask with bit k set iff flags[k], for 0/1 (or bool) flags, at
+    least one."""
+    return int(bytes(flags)[::-1].translate(_TO_DIGITS), 2)
 
 
 class WeylElement:
@@ -156,90 +293,20 @@ class WeylGroup:
         self.root_system = root_system
         self.rank = rank = root_system.rank
         datum = root_system.datum
-        if datum.weyl_group_order > max_elements:
-            raise GroupTooLargeError(
-                f"group of type {datum.label} exceeds the element ceiling "
-                f"{max_elements}; pass a larger max_elements to enumerate it anyway"
-            )
-        a = datum.cartan_matrix
-
-        # Breadth-first over left multiplication, one length level at a time.
-        # An element w is keyed by lambda = w(2 rho) in fundamental-weight
-        # coordinates, lambda_j = <w(2 rho), alpha_j^vee>; 2 rho is regular, so
-        # lambda determines w. |lambda_j| <= 2N for N positive roots, so each
-        # coordinate is stored plus 2N in its own `width`-bit field of one int.
-        # s_i subtracts lambda_i alpha_i, i.e. lambda_i times column i of the
-        # Cartan matrix, and l(s_i w) > l(w) iff lambda_i > 0. With i as the
-        # outer loop and the level, in order, as the inner one, each element
-        # is first reached from its smallest left descent i, so numbering by
-        # discovery gives the (length, lexicographically smallest reduced
-        # word) order and that word is (i,) + word(s_i w). left[i][w] is the
-        # index of s_{i+1} w; first[w] is the smallest left descent, last[w]
-        # the last letter of that word and pre[w] w without it.
-        width, offset = _weight_field(root_system.n_positive)
-        field = (1 << width) - 1
-        shifts = [width * j for j in range(rank)]
-        columns = [sum(a[j][i] << s for j, s in enumerate(shifts)) for i in range(rank)]
-        # sized for the order at once; doubled only if the search finds more
-        n, capacity = 1, datum.weyl_group_order
-        left = [array("I", [0]) * capacity for _ in range(rank)]
-        length, first, last = array("B", [0]), array("B", [0]), array("B", [0])
-        pre = array("I", [0])
-        level = [sum((2 + offset) << s for s in shifts)]
-        start = 0  # index of level[0]
-        depth = 1  # length of the elements found from level
-        while level:
-            ids: dict[int, int] = {}
-            for i in range(rank):
-                column, shift, li, letter = columns[i], shifts[i], left[i], i + 1
-                for u, key in enumerate(level, start):
-                    lam = (key >> shift & field) - offset
-                    if lam > 0:
-                        q = key - lam * column
-                        j = ids.get(q)
-                        if j is None:
-                            j = ids[q] = n
-                            n += 1
-                            if j == capacity:
-                                # every entry is written before it is read
-                                for table in left:
-                                    table.extend(table)
-                                capacity *= 2
-                            length.append(depth)
-                            first.append(letter)
-                            if u:
-                                last.append(last[u])
-                                pre.append(li[pre[u]])
-                            else:
-                                last.append(letter)
-                                pre.append(0)
-                        li[u] = j
-                        li[j] = u
-            start += len(level)
-            level = list(ids)
-            depth += 1
-        for table in left:
-            del table[n:]
-
-        self.order = n
-        self._length = length
-        self._first = first
-        # w = pre[w] s_a for the last letter a, so w^-1 = s_a pre[w]^-1
-        inv = array("I", [0])
-        for k in range(1, n):
-            inv.append(left[last[k] - 1][inv[pre[k]]])
-        del last, pre  # before the right tables are made, to lower the peak
-        self._inverse_index = inv
-        # multiplication tables, indexed by the 1-based simple index (slot 0 is
-        # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i,
-        # and w s_i = (s_i w^-1)^-1
-        self._lmul: tuple[array, ...] = (array("I"),) + tuple(left)
-        self._rmul: tuple[array, ...] = (array("I"),) + tuple(
-            array("I", map(inv.__getitem__, map(lm.__getitem__, inv))) for lm in left
+        check_ceiling(datum, max_elements)
+        # rho is regular, so its orbit points are the elements themselves
+        left, self._length, self._first = _level_search(
+            root_system, [1] * rank, self.simple_indices, datum.weyl_group_order
         )
+        self.order = len(self._length)
+        self._inverse_index = inv = _inverse(left, self._first)
+        # multiplication tables, indexed by the 1-based simple index (slot 0 is
+        # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i
+        self._lmul: tuple[array, ...] = tuple(left)
+        self._rmul: tuple[array, ...] = _right_tables(left, inv)
         self.elements: _Elements = _Elements(self)
         self.identity: WeylElement = self.elements[0]
-        self._simple = tuple(self.elements[lm[0]] for lm in left)
+        self._simple = tuple(self.elements[lm[0]] for lm in left[1:])
         self._memo: dict = {}
 
     # -- basic structure ----------------------------------------------------
@@ -444,15 +511,17 @@ class WeylGroup:
             raise ValueError("elements do not belong to this group")
         return (self._bruhat_up_reach[u.index] >> v.index) & 1 == 1
 
+    @cached_property
+    def _bruhat_down_reach(self) -> tuple[int, ...]:
+        # the transpose of _bruhat_up_reach: its rows as one byte per bit,
+        # concatenated, so column v is one slice with step order
+        n = self.order
+        flags = b"".join(_bit_flags(row, n) for row in self._bruhat_up_reach)
+        return tuple(_pack(flags[v::n]) for v in range(n))
+
     def bruhat_lower_mask(self, v: WeylElement) -> int:
         """Bitmask over element indices u with u <= v."""
-        reach = self._bruhat_up_reach
-        bit = 1 << v.index
-        mask = 0
-        for u in range(self.order):
-            if reach[u] & bit:
-                mask |= 1 << u
-        return mask
+        return self._bruhat_down_reach[v.index]
 
 
 def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> WeylGroup:
@@ -469,22 +538,33 @@ def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Weyl
 
 def word_str(w: WeylElement) -> str:
     """Serialize as comma-separated 1-based letters, "e" for the identity."""
-    return ",".join(str(i) for i in w.word) if w.word else "e"
+    return letters_str(w.word)
+
+
+def letters_str(word: tuple[int, ...]) -> str:
+    """Serialize a tuple of letters as `word_str` does."""
+    return ",".join(map(str, word)) if word else "e"
 
 
 def parse_word(group: WeylGroup, text: str) -> WeylElement:
     """Parse a word string; non-reduced words are accepted and canonicalized."""
+    return group.from_word(parse_letters(group.rank, text))
+
+
+def parse_letters(rank: int, text: str) -> tuple[int, ...]:
+    """The letters of a word string ("e" or empty for none), each checked to
+    lie in 1..rank."""
     s = text.strip()
     if s == "e" or s == "":
-        return group.identity
+        return ()
     try:
-        letters = [int(part) for part in s.split(",")]
+        letters = tuple(int(part) for part in s.split(","))
     except ValueError:
         raise ValueError(f"cannot parse word {text!r}: expected 'e' or comma-separated integers")
     for i in letters:
-        if not 1 <= i <= group.rank:
-            raise ValueError(f"word letter {i} out of range 1..{group.rank}")
-    return group.from_word(letters)
+        if not 1 <= i <= rank:
+            raise ValueError(f"word letter {i} out of range 1..{rank}")
+    return letters
 
 
 def format_subset(subset) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -257,18 +258,70 @@ def test_over_ceiling_type_exits_2(capsys):
     )
 
 
+# sha256 of `pieces` stdout; the E6 text digest is the e6-pieces benchmark's,
+# and every digest equals that of the group-table path
+PIECES_DIGESTS = {
+    ("E6", "flip", "1,2,3,4,5", "text"): "483556a44323c0befb1aaab64c122635cf68cfbfadbf980c90e3757d0dfeb15d",
+    ("E6", "flip", "1,2,3,4,5", "json"): "590f84c78700fec0b7a99e945fb5d1feb3fd37842e6dbe1aa540b98629119adc",
+    ("E7", "id", "1,2,3,4,5,6", "text"): "0dff97bdc52434ca99b313daee7c303551d663ca0c78aab1f57ecbae7f22fb6c",
+    ("E7", "id", "1,2,3,4,5,6", "json"): "b93a6b92d38d8753559c3e9f53351b1a7335cdb4a54dc42ad33b8219848c110a",
+}
+
+
+@pytest.fixture
+def no_group_table(monkeypatch):
+    """Make building a group table or a twisted action fail the test."""
+    import flagpieces as fp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a group table")
+
+    monkeypatch.setattr(fp.WeylGroup, "__init__", refuse)
+    monkeypatch.setattr(fp.TwistedConjugation, "__init__", refuse)
+
+
+@pytest.mark.parametrize("cartan,delta,j,fmt", sorted(PIECES_DIGESTS))
+def test_pieces_builds_no_group_table(capsys, no_group_table, cartan, delta, j, fmt):
+    code, out, err = run_cli(capsys, "--cartan", cartan, "--delta", delta, "--j", j, "--format", fmt, "pieces")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PIECES_DIGESTS[cartan, delta, j, fmt]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("--cartan", "A2", "--j", "7"), "subset index 7 out of range 1..2"),
+        (("--cartan", "A2", "--w", "9"), "word letter 9 out of range 1..2"),
+        (("--cartan", "A2", "--format", "dot"), "format 'dot' is only available for the poset command"),
+        (
+            ("--cartan", "E8", "--j", "9", "--w", "9"),
+            "group of type E8 exceeds the element ceiling 3000000; "
+            "pass a larger max_elements to enumerate it anyway",
+        ),
+    ],
+)
+def test_pieces_refusals_without_a_group(capsys, no_group_table, args, message):
+    code, out, err = run_cli(capsys, *args, "pieces")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     import flagpieces.cli as cli
+    from flagpieces import pieces
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
+    # pieces searches W_J and ^JW without a group table; the other commands
+    # build the table
+    monkeypatch.setattr(pieces, "_level_search", exhausted)
     monkeypatch.setattr(cli, "WeylGroup", exhausted)
-    code, out, err = run_cli(capsys, "--cartan", "E7", "--delta", "id", "pieces")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: out of memory building E7")
-    assert err.count("\n") == 1
+    for command in ("pieces", "orbits"):
+        code, out, err = run_cli(capsys, "--cartan", "E7", "--delta", "id", command)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: out of memory building E7 for the {command} command")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cartan,delta", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])

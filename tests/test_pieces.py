@@ -33,6 +33,7 @@ from flagpieces.pieces import (
     twisted_leq,
     validate_sequence,
 )
+from flagpieces.weyl import _FIXED, _level_search
 
 
 def test_sequence_empty_j_is_immediately_stable(tc_of):
@@ -607,3 +608,39 @@ def test_check_partial_order_matches_pair_loop():
         "closure relation is not antisymmetric",
         "closure relation is not transitive",
     }
+
+
+@pytest.mark.parametrize(
+    "label,delta_spec", [(label, spec) for label, specs in SCOPE for spec in specs]
+)
+def test_piece_rows_match_piece_records(tc_of, label, delta_spec):
+    # the engine `pieces` prints from, which builds no group table, against
+    # the table path, for every subset J
+    tc = tc_of(label, delta_spec)
+    for J in subsets_of(tc.group.simple_indices):
+        expected = [
+            (r.index_w.word, r.stabilizer_set, tuple(v.word for v in r.orbit_min), r.irreducible)
+            for r in piece_records(tc, J)
+        ]
+        rows = pieces_mod._piece_rows(tc.delta, J)
+        assert [tuple(row) for row in rows] == expected, sorted(J)
+        assert [len(row.word) for row in rows] == [r.index_w.length for r in piece_records(tc, J)]
+
+
+def test_level_search_labels_are_the_min_coset_reps(group_of):
+    # the search of lambda_J enumerates W^J in group order, and its fixed
+    # entries are the Deodhar steps s_i y = y s_k
+    g = group_of("D4")
+    rs = g.root_system
+    for J in subsets_of(g.simple_indices):
+        left, length, first = _level_search(rs, [int(i not in J) for i in g.simple_indices], g.simple_indices)
+        reps = g.min_coset_reps(J, "right")
+        assert list(length) == [y.length for y in reps]
+        pos = {y.index: u for u, y in enumerate(reps)}
+        for i in g.simple_indices:
+            for u, y in enumerate(reps):
+                z = g.simple_reflection(i) * y
+                if z.index in pos:
+                    assert left[i][u] == pos[z.index]
+                else:
+                    assert left[i][u] == _FIXED and g.min_coset_rep(z, J) == y

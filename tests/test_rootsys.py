@@ -226,9 +226,10 @@ def test_parabolic_root_indices_match_scan(label):
 
 @pytest.mark.parametrize("label", SUPPORTED + ["B8", "C8", "D8"])
 def test_weight_keys_fit_their_packed_fields(label):
-    # the group table keys w by <w(2 rho), alpha_j^vee> = <2 rho, beta^vee>
-    # for the root beta = w^-1(alpha_j); a value outside its field would
-    # carry into the next one and merge keys
+    # the group table keys w by <w(rho), alpha_j^vee> = <rho, beta^vee> for
+    # the root beta = w^-1(alpha_j); a value outside its field would carry
+    # into the next one and merge keys. The label search keys by a sum of
+    # fewer fundamental weights, whose pairings are bounded by rho's.
     rs = root_system(label)
     b = rs.datum.bilinear
     rank = rs.rank
@@ -237,8 +238,9 @@ def test_weight_keys_fit_their_packed_fields(label):
         return sum(x[i] * b[i][j] * y[j] for i in range(rank) for j in range(rank))
 
     rho2 = [sum(r.coords[i] for r in rs.roots[: rs.n_positive]) for i in range(rank)]
-    pairings = [2 * form(rho2, r.coords) / form(r.coords, r.coords) for r in rs.roots]
+    pairings = [form(rho2, r.coords) / form(r.coords, r.coords) for r in rs.roots]
     assert all(p.denominator == 1 for p in pairings)
-    width, offset = _weight_field(rs.n_positive)
-    assert max(abs(p) for p in pairings) <= offset
+    width, offset = _weight_field(rs)
+    # the offset is the largest pairing, the height of the highest coroot
+    assert max(abs(p) for p in pairings) == offset
     assert 2 * offset < 1 << width
