@@ -79,34 +79,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_context(cfg: argparse.Namespace) -> Context:
+    # every check that needs no group table runs before the table is built
     try:
         datum = CartanDatum.from_label(cfg.cartan)
+        check_ceiling(datum, cfg.max_elements)
         rs = build_root_system(datum)
-        if cfg.command == "pieces":  # enumerates W_J and ^JW, not W
-            check_ceiling(datum, cfg.max_elements)
-            group = None
-        else:
-            group = WeylGroup(rs, cfg.max_elements)
         delta = DiagramAutomorphism.from_spec(rs, cfg.delta)
         J = parse_subset(rs.rank, cfg.j)
         letters = parse_letters(rs.rank, cfg.w) if cfg.w is not None else None
     except (CartanError, AutomorphismError, GroupTooLargeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    w = group.from_word(letters) if group is not None and letters is not None else None
-    if cfg.command == "sequence":
-        if w is None:
-            raise ConfigError("the sequence command requires --w")
-        if not group.is_min_left_rep(w, J):
-            raise ConfigError(
-                f"precondition violated: w = {word_str(w)} is not a minimal coset "
-                f"representative for J = {{{format_subset(J)}}} (w must lie in W^J)"
-            )
-    if cfg.command == "closure" and w is None:
-        raise ConfigError("the closure command requires --w")
+    if cfg.command in ("sequence", "closure") and letters is None:
+        raise ConfigError(f"the {cfg.command} command requires --w")
     if cfg.format == "dot" and cfg.command != "poset":
         raise ConfigError("format 'dot' is only available for the poset command")
-    tc = TwistedConjugation(group, delta) if group is not None else None
-    return Context(cfg, delta, J, group, tc, w)
+    if cfg.command == "pieces":  # enumerates W_J and ^JW, not W
+        return Context(cfg, delta, J, None, None, None)
+    group = WeylGroup(rs, cfg.max_elements)
+    w = group.from_word(letters) if letters is not None else None
+    if cfg.command == "sequence" and not group.is_min_left_rep(w, J):
+        raise ConfigError(
+            f"precondition violated: w = {word_str(w)} is not a minimal coset "
+            f"representative for J = {{{format_subset(J)}}} (w must lie in W^J)"
+        )
+    return Context(cfg, delta, J, group, TwistedConjugation(group, delta), w)
 
 
 def _subset_text(J) -> str:

@@ -34,10 +34,9 @@ from .weyl import (
     WeylGroup,
     _bit_flags,
     _gather,
-    _inverse,
+    _inverse_and_right,
     _level_search,
     _pack,
-    _right_tables,
 )
 
 
@@ -248,7 +247,7 @@ def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
     letters = range(1, rank + 1)
     full = frozenset(letters)
     xl, xlen, xfirst = _level_search(rs, [1] * rank, sorted(J))
-    xr = _right_tables(xl, _inverse(xl, xfirst))
+    xr = _inverse_and_right(xl, xlen, xfirst)[1]
     yl, ylen, yfirst = _level_search(
         rs, [int(i not in J) for i in letters], letters, rs.datum.weyl_group_order // len(xlen)
     )

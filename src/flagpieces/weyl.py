@@ -5,11 +5,13 @@ enumerates the whole group breadth-first, one length level at a time, keyed on
 w(rho) packed into one int (`_level_search`, which also enumerates parabolic
 subgroups and the orbits of other weights). Discovery order is already the
 deterministic element order (length, then lexicographically smallest reduced
-word). Per
-element the group keeps only index arrays: its length and its smallest left
-descent (`array('B')`), and, for each simple index i, a left table (s_i w) and
-a right table (w s_i) of element indices (`array('I')`). A WeylElement is
-created, and kept, when its index is first looked up in `WeylGroup.elements`;
+word). Per element the group keeps only index arrays: its length and its
+smallest left descent (`array('B')`), and, for each simple index i, a left
+table (s_i w) and a right table (w s_i) of element indices (`array('I')`).
+The search gives the left tables; the right tables and the inverses follow
+from w = s_f v, with f the smallest left descent, one gather per run of a
+level sharing f (`_inverse_and_right`). A WeylElement is created, and kept,
+when its index is first looked up in `WeylGroup.elements`;
 its reduced word is derived then, by stepping down through the smallest left
 descents. Elements multiply by walking a reduced word through the tables;
 since the order is by length first, a table entry larger than its argument is
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from array import array
+from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable
 
@@ -84,7 +87,9 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
     letters, or _FIXED where lambda_i = 0 and s_i fixes the point (the other
     slots of left, 0 included, are empty); length[u] and first[u] are the
     length and smallest left descent of w (first[0] = 0). capacity sizes the
-    tables at once, and they double if the search finds more points.
+    tables at once; the left tables double if the search finds more points,
+    and length and first grow by the points of each (letter, level), which
+    are numbered consecutively.
     """
     rank = root_system.rank
     a = root_system.datum.cartan_matrix
@@ -94,7 +99,7 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
     left = [array("I") for _ in range(rank + 1)]
     for i in letters:
         left[i] = array("I", [_FIXED]) * capacity
-    length, first = array("B", [0]), array("B", [0])
+    length, first = array("B", [0]) * capacity, array("B", [0]) * capacity
     n = 1
     columns = {i: sum(a[j][i - 1] << s for j, s in enumerate(shifts)) for i in letters}
     level = [sum((c + offset) << s for c, s in zip(start, shifts))]
@@ -103,7 +108,7 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
     while level:
         ids: dict[int, int] = {}
         for i in letters:
-            column, shift, li = columns[i], shifts[i - 1], left[i]
+            column, shift, li, new = columns[i], shifts[i - 1], left[i], n
             for u, key in enumerate(level, base):
                 lam = (key >> shift & field) - offset
                 if lam > 0:
@@ -116,42 +121,42 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
                             for k in letters:
                                 left[k].extend(array("I", [_FIXED]) * capacity)
                             capacity *= 2
-                        length.append(depth)
-                        first.append(i)
                     li[u] = j
                     li[j] = u
+            first[new:n] = array("B", [i]) * (n - new)  # extends past the end
+        length[n - len(ids) : n] = array("B", [depth]) * len(ids)
         base += len(level)
         level = list(ids)
         depth += 1
     for i in letters:
         del left[i][n:]
+    del length[n:], first[n:]
     return left, length, first
 
 
-def _inverse(left, first) -> array:
-    """w^-1 per index, for the tables of a group (`_level_search` of rho).
+def _inverse_and_right(left, length, first) -> tuple[array, tuple[array, ...]]:
+    """w^-1 per index and the right tables (w s_i), for the tables of a group
+    or a parabolic subgroup (`_level_search` of rho); a right table is empty
+    where the left one is.
 
-    w = s_f v for f = first[w], so the word of w less its last letter l is
-    pre[w] = s_f pre[v], and w^-1 = s_l pre[w]^-1."""
-    n = len(first)
-    inv, pre, last = array("I", [0]) * n, array("I", [0]) * n, array("B", [0]) * n
-    for w in range(1, n):
-        f = first[w]
-        v = left[f][w]
-        if v:
-            pre[w] = left[f][pre[v]]
-            f = last[v]
-        last[w] = f
-        inv[w] = left[f][inv[pre[w]]]
-    return inv
-
-
-def _right_tables(left, inv) -> tuple[array, ...]:
-    """The right tables of a group from its left ones: w s_i = (s_i w^-1)^-1."""
-    return tuple(
-        array("I", map(inv.__getitem__, map(lm.__getitem__, inv))) if lm else lm
-        for lm in left
-    )
+    w = s_f v for f = first[w] and v one level down, so w s_i = s_f (v s_i)
+    and w^-1 = v^-1 s_f. The points of one level with one first letter f are
+    one run of indices, so each table takes one gather per run (in chunks of
+    at most 2^14 positions, to bound the transient ints)."""
+    n = len(length)
+    inv = array("I", [0]) * n
+    right = [array("I", lm[:1]) * n if lm else lm for lm in left]  # e s_i = s_i
+    a = 1
+    while a < n:
+        f = first[a]
+        b = min(bisect_right(first, f, a, bisect_right(length, length[a], a)), a + (1 << 14))
+        lf, at_v = left[f], _gather(left[f][a:b])
+        for rm in right:
+            if rm:
+                rm[a:b] = array("I", _gather(at_v(rm))(lf))
+        inv[a:b] = array("I", _gather(at_v(inv))(right[f]))
+        a = b
+    return inv, tuple(right)
 
 
 # Whole-row bit kernels: a mask becomes one byte per bit, a row of bits is
@@ -299,11 +304,10 @@ class WeylGroup:
             root_system, [1] * rank, self.simple_indices, datum.weyl_group_order
         )
         self.order = len(self._length)
-        self._inverse_index = inv = _inverse(left, self._first)
         # multiplication tables, indexed by the 1-based simple index (slot 0 is
         # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i
         self._lmul: tuple[array, ...] = tuple(left)
-        self._rmul: tuple[array, ...] = _right_tables(left, inv)
+        self._inverse_index, self._rmul = _inverse_and_right(left, self._length, self._first)
         self.elements: _Elements = _Elements(self)
         self.identity: WeylElement = self.elements[0]
         self._simple = tuple(self.elements[lm[0]] for lm in left[1:])

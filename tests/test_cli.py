@@ -305,6 +305,37 @@ def test_pieces_refusals_without_a_group(capsys, no_group_table, args, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+_REFUSALS_BEFORE_THE_TABLE = [
+    (("--j", "9"), "subset index 9 out of range 1..7"),
+    (("--w", "9"), "word letter 9 out of range 1..7"),
+    (("--delta", "tri"), "'tri' is only defined for type D4"),
+    (
+        ("--delta", "foo"),
+        "cannot parse automorphism 'foo': expected 'id', 'flip', 'tri', 'tri2', "
+        "or explicit images like '2,1,3'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (args + (command,), message)
+        for command in ("orbits", "poset", "verify")
+        for args, message in _REFUSALS_BEFORE_THE_TABLE
+    ]
+    + [
+        (("--format", "dot", command), "format 'dot' is only available for the poset command")
+        for command in ("orbits", "verify")
+    ]
+    + [((command,), f"the {command} command requires --w") for command in ("sequence", "closure")],
+)
+def test_refusals_before_the_group_table(capsys, no_group_table, args, message):
+    # an argument error needs no group table, so E7 refuses it at once
+    code, out, err = run_cli(capsys, "--cartan", "E7", *args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     import flagpieces.cli as cli
     from flagpieces import pieces

@@ -16,7 +16,7 @@ from flagpieces.oracle import (
     check_length_additivity,
     subsets_of,
 )
-from flagpieces.weyl import GroupTooLargeError, WeylElement
+from flagpieces.weyl import GroupTooLargeError, WeylElement, _inverse_and_right, _level_search
 
 
 def test_identity_and_involutions(group_of):
@@ -480,6 +480,55 @@ def test_tables_match_reference_construction(label):
     assert g._lmul[1:] == tuple(array("I", t) for t in lmul)
     assert g._rmul[1:] == tuple(array("I", t) for t in rmul)
     assert g._inverse_index == array("I", inv)
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE}))
+def test_parabolic_tables_match_the_group(group_of, label):
+    # the right and inverse tables of W_J from its own level search, mapped
+    # to the group's indices by reduced words; letters off J have no table
+    g = group_of(label)
+    rs = g.root_system
+    for J in subsets_of(g.simple_indices):
+        left, length, first = _level_search(rs, [1] * g.rank, sorted(J))
+        inv, right = _inverse_and_right(left, length, first)
+        words = [()]
+        for u in range(1, len(length)):
+            words.append((first[u],) + words[left[first[u]][u]])
+        pos = [g.from_word(word).index for word in words]
+        assert [g.elements[x].word for x in pos] == words
+        assert [pos[v] for v in inv] == [g._inverse_index[x] for x in pos]
+        assert right[0] == array("I")
+        for i in g.simple_indices:
+            if i in J:
+                assert [pos[v] for v in right[i]] == [g._rmul[i][x] for x in pos]
+            else:
+                assert right[i] == array("I")
+
+
+def _searches(rs):
+    """Every level search the package runs on rs, with its exact size: the
+    group, and per J its parabolic subgroup W_J and its labels W^J."""
+    order = rs.datum.weyl_group_order
+    yield [1] * rs.rank, range(1, rs.rank + 1), order
+    for J in subsets_of(range(1, rs.rank + 1)):
+        size = len(_level_search(rs, [1] * rs.rank, sorted(J))[1])
+        yield [1] * rs.rank, sorted(J), size
+        yield [int(i not in J) for i in range(1, rs.rank + 1)], range(1, rs.rank + 1), order // size
+
+
+@pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4", "D5"}))
+def test_level_search_runs_and_doubling(label):
+    # _inverse_and_right gathers one run per level and first letter, so
+    # first must not decrease within a level; and the tables grown from
+    # capacity 1 equal the ones sized at once
+    rs = fp.build_root_system(fp.CartanDatum.from_label(label))
+    for start, letters, size in _searches(rs):
+        left, length, first = _level_search(rs, start, letters, size)
+        assert len(length) == size
+        assert all(
+            f <= f2 for f, f2, l, l2 in zip(first[1:], first[2:], length[1:], length[2:]) if l == l2
+        )
+        assert _level_search(rs, start, letters, 1) == (left, length, first)
 
 
 @pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4"}))
