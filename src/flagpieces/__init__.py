@@ -1,6 +1,10 @@
 """Combinatorial skeleton of the partition of partial flag varieties into
 Frobenius-stable pieces: Weyl groups, twisted conjugation, stabilizing
-sequences, closure posets, and exhaustive brute-force verification."""
+sequences, closure posets, and exhaustive brute-force verification.
+
+The verification suite, `flagpieces.oracle`, is imported on first use (a
+module `__getattr__`, PEP 562), so commands that do not verify never load it.
+"""
 
 from .rootsys import (
     CartanDatum,
@@ -52,7 +56,6 @@ from .pieces import (
     twisted_leq,
     validate_sequence,
 )
-from . import oracle
 
 __version__ = "0.1.0"
 
@@ -102,3 +105,11 @@ __all__ = [
     "oracle",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name == "oracle":  # `from . import oracle` would recurse through hasattr
+        import importlib
+
+        return importlib.import_module(".oracle", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,17 +2,17 @@
 
 Exit codes: 0 on success, 1 when the verify suite finds a failure, 2 on bad
 configuration, when memory runs out, or when a verify worker process dies.
-All output is deterministic for a fixed configuration.
+All output is deterministic for a fixed configuration. A command imports
+only what it runs: `oracle` only for verify, `json` only for --format json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import oracle, pieces
+from . import pieces
 from .rootsys import CartanDatum, CartanError, build_root_system
 from .twist import AutomorphismError, DiagramAutomorphism, TwistedConjugation
 from .weyl import (
@@ -33,11 +33,10 @@ FORMATS = ("text", "json", "dot")
 
 
 class ConfigError(Exception):
-    """Bad command-line configuration; reported on one line with exit code 2."""
+    """Bad configuration or a dead verify worker; one line, exit code 2."""
 
 
-@dataclass
-class Context:
+class Context(NamedTuple):
     cfg: argparse.Namespace  # the parsed command line
     delta: DiagramAutomorphism
     J: frozenset[int]
@@ -105,6 +104,12 @@ def _build_context(cfg: argparse.Namespace) -> Context:
     return Context(cfg, delta, J, group, TwistedConjugation(group, delta), w)
 
 
+def _json(payload: dict) -> str:
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _subset_text(J) -> str:
     return format_subset(J) if J else "-"
 
@@ -136,7 +141,7 @@ def cmd_pieces(ctx: Context) -> str:
                 for r in rows
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [
         f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
         f"J={_subset_text(ctx.J)} pieces={len(rows)}"
@@ -202,7 +207,7 @@ def cmd_poset(ctx: Context) -> str:
     if ctx.cfg.format == "dot":
         return _poset_dot(ctx, poset)
     if ctx.cfg.format == "json":
-        return json.dumps(_poset_payload(ctx, poset), indent=2) + "\n"
+        return _json(_poset_payload(ctx, poset))
     payload = _poset_payload(ctx, poset)
     lines = [
         f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
@@ -254,7 +259,7 @@ def cmd_orbits(ctx: Context) -> str:
             "J": sorted(J),
             "orbits": rows,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [
         f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
         f"J={_subset_text(J)} orbits={len(rows)}"
@@ -287,7 +292,7 @@ def cmd_sequence(ctx: Context) -> str:
             "stable_w": word_str(seq.stable_w),
             "label": word_str(label),
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [
         f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
         f"J={_subset_text(ctx.J)} w={word_str(ctx.w)}"
@@ -314,7 +319,7 @@ def cmd_closure(ctx: Context) -> str:
             "w": word_str(ctx.w),
             "strata": [word_str(b) for b in strata],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     lines = [
         f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
         f"J={_subset_text(ctx.J)} w={word_str(ctx.w)} strata={len(strata)}"
@@ -328,7 +333,12 @@ def cmd_closure(ctx: Context) -> str:
 
 
 def cmd_verify(ctx: Context) -> tuple[str, int]:
-    reports = oracle.run_all_checks(ctx.group, ctx.delta)
+    from . import oracle
+
+    try:
+        reports = oracle.run_all_checks(ctx.group, ctx.delta)
+    except oracle.WorkerError as exc:
+        raise ConfigError(str(exc)) from None
     ok = all(r.passed for r in reports)
     if ctx.cfg.format == "json":
         payload = {
@@ -347,7 +357,7 @@ def cmd_verify(ctx: Context) -> tuple[str, int]:
             ],
             "ok": ok,
         }
-        return json.dumps(payload, indent=2) + "\n", 0 if ok else 1
+        return _json(payload), 0 if ok else 1
     lines = [f"# verify cartan={ctx.cfg.cartan} delta={ctx.delta.spec}"]
     for r in reports:
         lines.append(r.summary_line())
@@ -379,7 +389,7 @@ def main(argv=None) -> int:
             out, code = cmd_closure(ctx), 0
         else:
             out, code = cmd_verify(ctx)
-    except (ConfigError, oracle.WorkerError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

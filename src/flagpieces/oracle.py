@@ -32,7 +32,6 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from operator import eq, or_, sub
 
@@ -58,14 +57,14 @@ _BRUHAT_WORD_CAP = 20
 _STABILIZER_SUBSET_CAP = 12
 
 
-@dataclass
 class OracleReport:
     """Outcome of one agreement check: name, coverage, and any failures."""
 
-    check_name: str
-    instances_checked: int = 0
-    failure_count: int = 0  # exact, however many failures are kept
-    failures: list[tuple[str, str, str]] = field(default_factory=list)  # the first few
+    def __init__(self, check_name: str):
+        self.check_name = check_name
+        self.instances_checked = 0
+        self.failure_count = 0  # exact, however many failures are kept
+        self.failures: list[tuple[str, str, str]] = []  # the first few
 
     @property
     def passed(self) -> bool:

@@ -13,7 +13,6 @@ the tests compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -53,8 +52,7 @@ def simple_image_subset(w: WeylElement, subset) -> frozenset[int]:
     return frozenset(simple_image(w, k) for k in subset) - {None}
 
 
-@dataclass(frozen=True)
-class TwistedSequence:
+class TwistedSequence(NamedTuple):
     """The stabilizing sequence (J_n, w_n), stored up to its first stable pair."""
 
     steps: tuple[tuple[frozenset[int], WeylElement], ...]
@@ -167,8 +165,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class PieceRecord:
+class PieceRecord(NamedTuple):
     """Per-piece metadata: the ^JW label and everything derived from it."""
 
     index_w: WeylElement  # the piece label, in ^JW
@@ -178,8 +175,7 @@ class PieceRecord:
     irreducible: bool | None  # None when J = I (criterion not applicable)
 
 
-@dataclass(frozen=True)
-class ClosurePoset:
+class ClosurePoset(NamedTuple):
     """The closure partial order on the pieces for one subset J."""
 
     J: frozenset[int]
@@ -246,7 +242,7 @@ def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
     rank, J = rs.rank, frozenset(J)
     letters = range(1, rank + 1)
     full = frozenset(letters)
-    xl, xlen, xfirst = _level_search(rs, [1] * rank, sorted(J))
+    xl, xlen, xfirst = _level_search(rs, [1] * rank, sorted(J), rs.parabolic_order(J))
     xr = _inverse_and_right(xl, xlen, xfirst)[1]
     yl, ylen, yfirst = _level_search(
         rs, [int(i not in J) for i in letters], letters, rs.datum.weyl_group_order // len(xlen)
@@ -402,8 +398,7 @@ def _restricted_image(group: WeylGroup, K, w1: WeylElement) -> frozenset[int]:
     return simple_image_subset(w1, K)
 
 
-@dataclass(frozen=True)
-class RootInclusionReport:
+class RootInclusionReport(NamedTuple):
     """Outcome of the layerwise root-inclusion checks along a sequence."""
 
     w: WeylElement

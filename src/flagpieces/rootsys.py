@@ -4,15 +4,17 @@ Roots are integer coefficient vectors over the simple roots alpha_1..alpha_n
 (Bourbaki numbering, 1-based; see README for the labeling of each family).
 The Cartan matrix convention is a[i][j] = <alpha_j, alpha_i^vee>, so row i
 drives the simple reflection: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i.
+A Cartan datum is validated in integers: an integer symmetrizer, and
+Sylvester's criterion by fraction-free (Bareiss) elimination. Only the
+`symmetrizer`, `bilinear` and `coroot_pairing` accessors use `Fraction`.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, wraps
+from typing import NamedTuple
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -100,16 +102,22 @@ def standard_cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True)
 class CartanDatum:
-    """A simple finite type: family letter, rank, and its Cartan matrix."""
+    """A simple finite type: family letter, rank, and its Cartan matrix;
+    validated on construction, equal and hashed by those three fields."""
 
-    family: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, family: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...]):
+        self.family, self.rank, self.cartan_matrix = self._key = family, rank, cartan_matrix
         _validate_datum(self)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CartanDatum) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return "CartanDatum(family={!r}, rank={!r}, cartan_matrix={!r})".format(*self._key)
 
     @classmethod
     def from_family(cls, family: str, rank: int) -> CartanDatum:
@@ -149,7 +157,11 @@ class CartanDatum:
     @cached_property
     def symmetrizer(self) -> tuple[Fraction, ...]:
         """Positive d_i with d_i * a[i][j] symmetric, normalized to min 1."""
-        return _symmetrizer(self.cartan_matrix)
+        from fractions import Fraction
+
+        d = _symmetrizer(self.cartan_matrix)
+        lo = min(d)
+        return tuple(Fraction(x, lo) for x in d)
 
     @cached_property
     def bilinear(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -190,17 +202,15 @@ def _validate_datum(datum: CartanDatum) -> None:
                 raise CartanError(
                     f"zero pattern must be symmetric: a[{i+1}][{j+1}] vs a[{j+1}][{i+1}]"
                 )
-    if not _is_connected(a):
+    d = _symmetrizer(a)  # 0 off the component of node 1
+    if 0 in d:
         raise CartanError(
             "Dynkin diagram must be connected (reducible types are unsupported)"
         )
     # symmetrizability (consistency over cycles) and finite type
-    d = _symmetrizer(a)
     b = [[d[i] * a[i][j] for j in range(rank)] for i in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            if b[i][j] != b[j][i]:
-                raise CartanError("cartan matrix is not symmetrizable")
+    if any(b[i][j] != b[j][i] for i in range(rank) for j in range(i)):
+        raise CartanError("cartan matrix is not symmetrizable")
     if not _is_positive_definite(b):
         raise CartanError(
             "cartan matrix is not of finite type (symmetrization not positive definite)"
@@ -211,52 +221,42 @@ def _validate_datum(datum: CartanDatum) -> None:
         )
 
 
-def _is_connected(a: tuple[tuple[int, ...], ...]) -> bool:
-    rank = len(a)
-    seen = {0}
+def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Positive integers d with d_i a[i][j] = d_j a[j][i] along a spanning
+    tree of the component of node 1 (d is 0 off it): all d are scaled by
+    |a[j][i]| whenever d_i a[i][j] / a[j][i] is not an integer."""
+    d = [1] + [0] * (len(a) - 1)
     stack = [0]
     while stack:
         i = stack.pop()
-        for j in range(rank):
-            if j not in seen and a[i][j] != 0:
-                seen.add(j)
+        for j, aij in enumerate(a[i]):
+            if i != j and aij != 0 and not d[j]:
+                num, den = d[i] * aij, a[j][i]
+                if num % den:
+                    d = [x * -den for x in d]
+                    num *= -den
+                d[j] = num // den
                 stack.append(j)
-    return len(seen) == rank
+    return d
 
 
-def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    rank = len(a)
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(rank):
-            if i != j and a[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * a[i][j] / a[j][i]
-                stack.append(j)
-    if any(x is None for x in d):  # disconnected; caught separately
-        d = [Fraction(1) if x is None else x for x in d]
-    lo = min(x for x in d if x is not None)
-    return tuple(x / lo for x in d)  # type: ignore[union-attr]
-
-
-def _is_positive_definite(b: list[list[Fraction]]) -> bool:
-    # Gaussian elimination on the symmetric matrix; all pivots positive.
+def _is_positive_definite(b: list[list[int]]) -> bool:
+    """Sylvester's criterion on an integer symmetric matrix: every leading
+    principal minor is positive. Bareiss elimination keeps every entry an
+    integer, and at step k the pivot m[k][k] is the minor of order k + 1."""
     m = [row[:] for row in b]
-    n = len(m)
+    n, prev = len(m), 1
     for k in range(n):
         if m[k][k] <= 0:
             return False
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
     return True
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root, as integer coefficients over the simple roots."""
 
     coords: tuple[int, ...]
@@ -330,6 +330,8 @@ class RootSystem:
 
     def coroot_pairing(self, r: int, s: int) -> int:
         """<alpha_r, alpha_s^vee> = 2 (alpha_r, alpha_s) / (alpha_s, alpha_s)."""
+        from fractions import Fraction
+
         b = self.datum.bilinear
         cr = self.roots[r].coords
         cs = self.roots[s].coords
@@ -339,6 +341,15 @@ class RootSystem:
         if val.denominator != 1:
             raise ArithmeticError(f"non-integral coroot pairing for roots {r}, {s}")
         return int(val)
+
+    def parabolic_order(self, subset) -> int:
+        """|W_J| = prod (e + 1) over the exponents e of Phi_J. The number of
+        exponents >= k is the number m_k of positive roots of height k
+        (Kostant; Humphreys, Reflection Groups and Coxeter Groups, 3.20), so
+        |W_J| = prod_k (k + 1)^(m_k - m_{k+1})."""
+        heights = [sum(self.roots[r].coords) for r in self.parabolic_root_indices(subset, True)]
+        m = [heights.count(k) for k in range(max(heights, default=0) + 2)]
+        return math.prod((k + 1) ** (m[k] - m[k + 1]) for k in range(1, len(m) - 1))
 
     @memoized
     def parabolic_root_indices(self, subset, positive_only: bool = False) -> frozenset[int]:

@@ -30,7 +30,7 @@ import heapq
 import threading
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .rootsys import RootSystem, memoized
 from .weyl import WeylElement, WeylGroup
@@ -230,8 +230,7 @@ class _PartLabels:
         return pid
 
 
-@dataclass(frozen=True)
-class TwistedOrbit:
+class TwistedOrbit(NamedTuple):
     """One W_J-orbit under x . y = d(x) y x^-1, kept as ascending element
     indices; its minimal elements (those of least length) are a prefix of
     them. The elements are created when `members` or `min_elements` is read."""
@@ -253,8 +252,7 @@ class TwistedOrbit:
         return tuple(map(self.group.elements.__getitem__, self.member_indices[: self.n_min]))
 
 
-@dataclass(frozen=True)
-class TwistClass:
+class TwistClass(NamedTuple):
     """The class [w]_J = W_J . (w W_K) of a minimal representative w in W^J."""
 
     base: WeylElement
@@ -262,8 +260,7 @@ class TwistClass:
     members: tuple[WeylElement, ...]
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(NamedTuple):
     """Result of shifting w down to a distinguished product label * tail."""
 
     label: WeylElement  # element of W^J

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import os
 import random
@@ -194,7 +193,7 @@ def test_closure_agreement_counts_every_flipped_bit(tc_of, monkeypatch, J, k):
     rows = list(real.leq_rows)
     for a, b in flips:
         rows[a] ^= 1 << b
-    broken = dataclasses.replace(real, leq_rows=tuple(rows))
+    broken = real._replace(leq_rows=tuple(rows))
     monkeypatch.setattr(pieces, "closure_poset", lambda tc_, J_: broken)
 
     rep = check_closure_agreement(tc, J)
@@ -318,7 +317,7 @@ def test_sequence_bijection_counts_a_truncated_recipe(tc_of, monkeypatch):
 
     def truncated(tc_, J, w):
         seq = real(tc_, J, w)
-        return dataclasses.replace(seq, steps=seq.steps[:-1])
+        return seq._replace(steps=seq.steps[:-1])
 
     monkeypatch.setattr(oracle, "sequence_for", truncated)
     for J in subsets_of(tc.group.simple_indices):

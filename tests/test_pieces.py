@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 from array import array
@@ -410,7 +409,7 @@ def test_check_partial_order_rejects_broken_rows(tc_of, monkeypatch, rows, messa
     # the rows are planted in a poset with as many pieces: A1 at J = {}, A2 at J = {1}
     label, J = {2: ("A1", frozenset()), 3: ("A2", frozenset({1}))}[len(rows)]
     tc = tc_of(label, "id")
-    broken = dataclasses.replace(closure_poset(tc, J), leq_rows=tuple(rows))
+    broken = closure_poset(tc, J)._replace(leq_rows=tuple(rows))
     monkeypatch.setattr(pieces_mod, "closure_poset", lambda tc_, J_: broken)
     rep = check_order_axioms(tc, J)
     assert (rep.instances_checked, rep.failure_count) == (1, 1)
@@ -430,7 +429,7 @@ def test_closure_poset_verify_detects_representative_dependence(tc_of, monkeypat
 
     def doctored(tc_, J):
         return tuple(
-            dataclasses.replace(rec, orbit_min=(s1, s2)) if rec.inv_w == s1 else rec
+            rec._replace(orbit_min=(s1, s2)) if rec.inv_w == s1 else rec
             for rec in real(tc_, J)
         )
 
@@ -644,3 +643,30 @@ def test_level_search_labels_are_the_min_coset_reps(group_of):
                     assert left[i][u] == pos[z.index]
                 else:
                     assert left[i][u] == _FIXED and g.min_coset_rep(z, J) == y
+
+
+def test_records_are_immutable(tc_of):
+    # the records are named tuples: a field cannot be assigned, and a
+    # changed copy is made with _replace
+    from flagpieces import cli
+
+    tc = tc_of("A3", "flip")
+    g, J = tc.group, frozenset({1})
+    w = g.from_word([2, 3])
+    ctx = cli._build_context(cli._build_parser().parse_args(["--cartan", "A3", "verify"]))
+    records = [
+        g.root_system.roots[0],
+        tc.orbit_partition(J)[0][0],
+        tc.class_decomposition(J)[0],
+        tc.reduce_to_distinguished(w, J),
+        sequence_for(tc, J, w),
+        piece_records(tc, J)[0],
+        closure_poset(tc, J),
+        sequence_root_inclusions(tc, J, w),
+        ctx,
+    ]
+    for rec in records:
+        field = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        assert rec._replace(**{field: getattr(rec, field)}) == rec

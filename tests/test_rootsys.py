@@ -1,5 +1,9 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
+from flagpieces import rootsys
 from flagpieces.oracle import positive_roots_oracle
 from flagpieces.rootsys import (
     CartanDatum,
@@ -244,3 +248,101 @@ def test_weight_keys_fit_their_packed_fields(label):
     # the offset is the largest pairing, the height of the highest coroot
     assert max(abs(p) for p in pairings) == offset
     assert 2 * offset < 1 << width
+
+
+# -- integer validation ------------------------------------------------------
+
+BOURBAKI = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", BOURBAKI)
+def test_every_bourbaki_matrix_is_accepted(label):
+    family, rank = label[0], int(label[1:])
+    datum = CartanDatum(family, rank, standard_cartan_matrix(family, rank))
+    assert datum == CartanDatum.from_label(label)
+    assert hash(datum) == hash(CartanDatum.from_label(label))
+    d, b = datum.symmetrizer, datum.bilinear
+    assert min(d) == 1 and all(x > 0 for x in d)
+    assert all(b[i][j] == b[j][i] for i in range(rank) for j in range(rank))
+
+
+@pytest.mark.parametrize(
+    "family,matrix,message",
+    [
+        # a 3-cycle whose bond ratios do not close up: d_2 = d_1 / 2 from
+        # the bond 1-2, but d_2 = d_3 = d_1 through node 3
+        ("A", ((2, -1, -1), (-2, 2, -1), (-1, -1, 2)), "not symmetrizable"),
+        # affine A2~: the 3-cycle of simple bonds, determinant 0
+        ("A", ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), "not of finite type"),
+        # affine D4~: one node bonded to four, determinant 0
+        (
+            "D",
+            ((2, -1, -1, -1, -1), (-1, 2, 0, 0, 0), (-1, 0, 2, 0, 0), (-1, 0, 0, 2, 0), (-1, 0, 0, 0, 2)),
+            "not of finite type",
+        ),
+    ],
+)
+def test_non_finite_matrices_refused(family, matrix, message):
+    with pytest.raises(CartanError, match=message):
+        CartanDatum(family, len(matrix), matrix)
+
+
+def _fraction_verdict(a):
+    """The rational symmetrizer (normalized to min 1) and finite-type verdict
+    by Gaussian elimination over Fraction: the reference for the integer
+    validation."""
+    rank = len(a)
+    d = [None] * rank
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(rank):
+            if i != j and a[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * a[i][j] / a[j][i]
+                stack.append(j)
+    d = [x / min(d) for x in d]
+    m = [[d[i] * a[i][j] for j in range(rank)] for i in range(rank)]
+    if any(m[i][j] != m[j][i] for i in range(rank) for j in range(rank)):
+        return d, "not symmetrizable"
+    for k in range(rank):
+        if m[k][k] <= 0:
+            return d, "not of finite type"
+        for i in range(k + 1, rank):
+            f = m[i][k] / m[k][k]
+            for j in range(k, rank):
+                m[i][j] -= f * m[k][j]
+    return d, "finite"
+
+
+def test_integer_validation_matches_fraction_elimination():
+    # every connected 3x3 generalized Cartan matrix with off-diagonal entries
+    # in {0, -1, -2, -3}; a finite-type matrix that is not A3's Bourbaki
+    # matrix is refused by the label check, after the finite-type test
+    verdicts = {}
+    for a12, a13, a21, a23, a31, a32 in itertools.product((0, -1, -2, -3), repeat=6):
+        a = ((2, a12, a13), (a21, 2, a23), (a31, a32, 2))
+        if any((a[i][j] == 0) != (a[j][i] == 0) for i in range(3) for j in range(3)):
+            continue
+        if sum(a[i][j] != 0 for i in range(3) for j in range(i)) < 2:
+            continue  # disconnected
+        d, expected = _fraction_verdict(a)
+        try:
+            CartanDatum("A", 3, a)
+            got = "finite"
+        except CartanError as exc:
+            got = "finite" if "Bourbaki" in str(exc) else str(exc)
+        assert expected in got, a
+        if expected != "not symmetrizable":
+            ints = rootsys._symmetrizer(a)
+            assert [Fraction(x, min(ints)) for x in ints] == d, a
+        verdicts[expected] = verdicts.get(expected, 0) + 1
+    assert set(verdicts) == {"finite", "not symmetrizable", "not of finite type"}
+    # A3 on a path of 3 nodes (3 choices of middle node); B3 or C3 with the
+    # double bond at either end (3 * 2 * 2): no 3-cycle is of finite type
+    assert verdicts["finite"] == 15

@@ -586,3 +586,21 @@ def test_min_coset_reps_memo_stores_no_failed_call(group_of):
         with pytest.raises(ValueError, match="side must be"):
             g.min_coset_reps({1}, "up")
     assert g._memo == before
+
+
+@pytest.mark.parametrize("label", ["A3", "B4", "C3", "D4", "F4", "G2", "D5", "E6"])
+def test_parabolic_order_is_the_closed_form(group_of, label):
+    # |W_J| from the heights of the positive roots of Phi_J sizes the W_J
+    # search of `pieces` at once
+    g = group_of(label)
+    rs = g.root_system
+    for J in subsets_of(g.simple_indices):
+        assert rs.parabolic_order(J) == len(g.parabolic_elements(J)), sorted(J)
+    assert rs.parabolic_order(g.simple_indices) == rs.datum.weyl_group_order
+
+
+def test_parabolic_order_on_e8():
+    rs = fp.root_system("E8")
+    assert rs.parabolic_order(range(1, 8)) == 2_903_040  # E7
+    assert rs.parabolic_order(range(1, 9)) == 696_729_600
+    assert rs.parabolic_order({1, 3, 5}) == 12  # A2 x A1
