@@ -11,17 +11,16 @@ length-additive steps.
 
 Orbits, shift classes and strong-conjugacy classes are three partitions of W,
 and each is the set of connected components of a symmetric relation on
-element indices, found by one walk (`_walk`): the twist steps
-y -> s_d(j) y s_j, the length-preserving shift steps, and the length-additive,
-length-preserving twists by elements of W_J. Orbit and shift-class
-partitions are walked whole (`_components`): parts are ordered by smallest
-member and numbered in that order; each part is an `array('I')` of element
-indices and the part numbers are an `array('I')` indexed by element, so a
-partition of W makes no element objects. The orbit minima of one y in W^J
-are walked alone, as the shift class of y (`orbit_min`). Strong-conjugacy
-parts are walked one at a time, on the first lookup of a member
-(`_PartLabels`). A twisted orbit creates its member and minimal elements
-when they are read.
+element indices: the twist steps y -> s_d(j) y s_j, the length-preserving
+shift steps, and the length-additive, length-preserving twists by elements
+of W_J. One class walks them all (`_Parts`): a part is walked on the first
+lookup of a member, kept as an ascending `array('I')` of element indices,
+and the part numbers are an `array('I')` indexed by element, so a partition
+of W makes no element objects. The orbit partition is walked whole, in
+increasing index order; the orbit minima of one y in W^J are the shift class
+of y alone (`orbit_min`), and strong-conjugacy parts are walked as they are
+looked up. A twisted orbit creates its member and minimal elements when they
+are read.
 """
 
 from __future__ import annotations
@@ -173,61 +172,50 @@ def _stable_part(image: dict, delta: DiagramAutomorphism) -> frozenset[int]:
 _UNSEEN = 0xFFFFFFFF  # part number of an index the walk has not reached
 
 
-def _walk(neighbours, part_of: array, start: int, pid: int) -> list[int]:
-    """Give the part of start, unreached so far, the number pid in part_of;
-    return its members in the order found."""
-    part_of[start] = pid
-    found = [start]
-    for y in found:  # found grows while it is walked
-        for z in neighbours(y):
-            if part_of[z] == _UNSEEN:
-                part_of[z] = pid
-                found.append(z)
-    return found
+class _Parts:
+    """The connected components of a symmetric relation on range(n), each
+    walked on the first lookup of one of its members; neighbours(k) lists
+    the indices related to k.
 
-
-def _components(n: int, neighbours) -> tuple[list[array], array]:
-    """Connected components of a symmetric relation on range(n).
-
-    neighbours(k) lists the indices related to k. Returns the parts, each an
-    ascending array('I') and ordered by smallest member, and the array('I')
-    giving each index the number of its part.
-    """
-    part_of = array("I", [_UNSEEN]) * n
-    parts: list[array] = []
-    for start in range(n):
-        if part_of[start] == _UNSEEN:
-            found = _walk(neighbours, part_of, start, len(parts))
-            found.sort()
-            parts.append(array("I", found))
-    return parts, part_of
-
-
-class _PartLabels:
-    """The part numbers of the connected components of a symmetric relation
-    on range(n), as `_components` gives them, with each part walked on the
-    first lookup of one of its members.
-
-    Parts are numbered in the order they are walked, so reading every index
-    in increasing order gives `_components`' numbering. A walk runs under a
-    lock: two threads that miss on one part must not number it twice."""
+    `parts[k]` is the number of k's part, numbered in the order parts are
+    walked; `part(k)` is that part as an ascending array('I'); `all()` walks
+    what is left and returns the parts ordered by smallest member. Walking
+    every index in increasing order, as `all()` does, numbers each part by
+    its position there. A walk runs under a lock, and a part counts as walked
+    once its array is stored: a thread that reads a number set by a walk
+    still running waits for it, and two threads that miss on one part do not
+    number it twice."""
 
     def __init__(self, n: int, neighbours):
         self._neighbours = neighbours
         self._part_of = array("I", [_UNSEEN]) * n
-        self._walked = 0
+        self._parts: list[array] = []
         self._lock = threading.Lock()
 
     def __getitem__(self, k: int) -> int:
-        pid = self._part_of[k]
-        if pid == _UNSEEN:
+        part_of = self._part_of
+        pid = part_of[k]
+        if pid >= len(self._parts):  # unseen, or its walk is still running
             with self._lock:
-                pid = self._part_of[k]
+                pid = part_of[k]
                 if pid == _UNSEEN:
-                    pid = self._walked
-                    _walk(self._neighbours, self._part_of, k, pid)
-                    self._walked += 1
+                    pid = part_of[k] = len(self._parts)
+                    found = [k]
+                    for y in found:  # found grows while it is walked
+                        for z in self._neighbours(y):
+                            if part_of[z] == _UNSEEN:
+                                part_of[z] = pid
+                                found.append(z)
+                    self._parts.append(array("I", sorted(found)))
         return pid
+
+    def part(self, k: int) -> array:
+        return self._parts[self[k]]
+
+    def all(self) -> list[array]:
+        for k in range(len(self._part_of)):
+            self[k]
+        return sorted(self._parts, key=lambda part: part[0])
 
 
 class TwistedOrbit(NamedTuple):
@@ -319,15 +307,16 @@ class TwistedConjugation:
         g = self.group
         length = g._length
         steps = self._twist_steps(J)
-        parts, orbit_of = _components(g.order, lambda y: [r[dl[y]] for dl, r in steps])
-        # a part ascends by index, so by length: its minima are the run of
-        # members as short as the first
+        parts = _Parts(g.order, lambda y: [r[dl[y]] for dl, r in steps])
+        # all() walks a fresh _Parts in increasing index order, so each part
+        # number is its orbit's position; a part ascends by index, so by
+        # length: its minima are the run of members as short as the first
         return (
             tuple(
                 TwistedOrbit(g, part, bisect_right(part, length[part[0]], key=length.__getitem__))
-                for part in parts
+                for part in parts.all()
             ),
-            orbit_of,
+            parts._part_of,
         )
 
     def orbit(self, y: WeylElement, J) -> TwistedOrbit:
@@ -348,21 +337,7 @@ class TwistedConjugation:
         """
         if not self.group.is_min_left_rep(y, J):
             raise ValueError(f"y = {y!r} is not a minimal coset representative for J={sorted(J)}")
-        return tuple(map(self.group.elements.__getitem__, self._shift_class_of(J, y.index)))
-
-    @memoized
-    def _shift_class_of(self, J, y: int) -> tuple[int, ...]:
-        """The indices reached from index y by length-preserving shift steps,
-        ascending."""
-        length, steps = self.group._length, self._twist_steps(J)
-        found, seen = [y], {y}
-        for u in found:  # found grows while it is walked
-            for dl, r in steps:
-                z = r[dl[u]]
-                if z not in seen and length[z] == length[y]:
-                    seen.add(z)
-                    found.append(z)
-        return tuple(sorted(found))
+        return tuple(map(self.group.elements.__getitem__, self._scc(J).part(y.index)))
 
     # -- stabilizer type -------------------------------------------------------
 
@@ -433,29 +408,31 @@ class TwistedConjugation:
         """Mutual-shift classes, ordered by smallest member: the strongly
         connected components of the shift digraph, found as the connected
         components of its length-preserving edges."""
-        return self._scc(J)[0]
+        elems = self.group.elements
+        return tuple(tuple(map(elems.__getitem__, part)) for part in self._scc(J).all())
 
     def same_shift_class(self, w: WeylElement, w2: WeylElement, J) -> bool:
-        comp = self._scc(J)[1]
-        return comp[w.index] == comp[w2.index]
+        parts = self._scc(J)
+        return parts[w.index] == parts[w2.index]
 
     @memoized
-    def _scc(self, J: frozenset[int]):
+    def _scc(self, J: frozenset[int]) -> _Parts:
         # A shift step by j is an involution, so a length-preserving edge
         # comes with its reverse, and no cycle can contain a length-dropping
         # edge: the strongly connected components are the connected
         # components of the length-preserving edges.
-        elems, length = self.group.elements, self.group._length
-        adj = self._shift_adjacency(J)
-        parts, comp = _components(
-            len(adj), lambda u: [v for v in adj[u] if length[v] == length[u]]
-        )
-        return tuple(tuple(map(elems.__getitem__, part)) for part in parts), comp
+        length, steps = self.group._length, self._twist_steps(J)
+
+        def level_steps(u: int) -> list[int]:
+            lu = length[u]
+            return [z for z in [r[dl[u]] for dl, r in steps] if length[z] == lu]
+
+        return _Parts(self.group.order, level_steps)
 
     # -- strong conjugacy ----------------------------------------------------------
 
     @memoized
-    def _strong_components(self, J: frozenset[int]) -> _PartLabels:
+    def _strong_components(self, J: frozenset[int]) -> _Parts:
         # The relation is symmetric: twisting z = d(x) w x^-1 by x^-1 gives
         # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
         # length additivity over to the reverse step.
@@ -486,7 +463,7 @@ class TwistedConjugation:
                 if length[v] == lw and lw + lx in (length[a], length[b])
             ]
 
-        return _PartLabels(g.order, twists)
+        return _Parts(g.order, twists)
 
     def strongly_conjugate(self, w: WeylElement, w2: WeylElement, J) -> bool:
         """Whether w ~ w2: a chain of length-preserving, length-additive twists."""

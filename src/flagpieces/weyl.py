@@ -3,7 +3,8 @@
 A WeylGroup checks the closed-form order against the element ceiling, then
 enumerates the whole group breadth-first, one length level at a time, keyed on
 w(rho) packed into one int (`_level_search`, which also enumerates parabolic
-subgroups and the orbits of other weights). Discovery order is already the
+subgroups and the orbits of other weights, each into tables sized once from
+its closed-form count). Discovery order is already the
 deterministic element order (length, then lexicographically smallest reduced
 word). Per element the group keeps only index arrays: its length and its
 smallest left descent (`array('B')`), and, for each simple index i, a left
@@ -21,7 +22,8 @@ also kept as a prefix tree, each element below the one without its smallest
 left descent, so a product by every element of W_J takes one table step per
 element (`_sweep`). Root images walk a reduced word through the simple
 reflections of the root system. The Bruhat covering digraph and its
-reachability closure are built on demand.
+reachability closure are built on demand; the closure is the one Bruhat
+table, a bitmask per element u of the v with u <= v.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def _weight_field(root_system: RootSystem) -> tuple[int, int]:
 _FIXED = 0xFFFFFFFF
 
 
-def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
+def _level_search(root_system: RootSystem, start, letters, capacity: int):
     """Breadth-first search of the orbit of a dominant weight under the simple
     reflections s_i, i in letters (increasing), one length level at a time.
 
@@ -86,10 +88,10 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
     Returns (left, length, first): left[i][u] is the index of s_i u for i in
     letters, or _FIXED where lambda_i = 0 and s_i fixes the point (the other
     slots of left, 0 included, are empty); length[u] and first[u] are the
-    length and smallest left descent of w (first[0] = 0). capacity sizes the
-    tables at once; the left tables double if the search finds more points,
-    and length and first grow by the points of each (letter, level), which
-    are numbered consecutively.
+    length and smallest left descent of w (first[0] = 0). capacity is the
+    exact orbit size, known in closed form, and sizes every table at once. A
+    wrong one raises: IndexError on a left table when the search outgrows
+    it, ValueError naming both counts otherwise.
     """
     rank = root_system.rank
     a = root_system.datum.cartan_matrix
@@ -117,20 +119,15 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int = 1):
                     if j is None:
                         j = ids[q] = n
                         n += 1
-                        if j == capacity:
-                            for k in letters:
-                                left[k].extend(array("I", [_FIXED]) * capacity)
-                            capacity *= 2
                     li[u] = j
                     li[j] = u
-            first[new:n] = array("B", [i]) * (n - new)  # extends past the end
+            first[new:n] = array("B", [i]) * (n - new)
         length[n - len(ids) : n] = array("B", [depth]) * len(ids)
         base += len(level)
         level = list(ids)
         depth += 1
-    for i in letters:
-        del left[i][n:]
-    del length[n:], first[n:]
+    if n != capacity:
+        raise ValueError(f"the orbit has {n} points, but the tables were sized for {capacity}")
     return left, length, first
 
 
@@ -514,18 +511,6 @@ class WeylGroup:
         if u.group is not self or v.group is not self:
             raise ValueError("elements do not belong to this group")
         return (self._bruhat_up_reach[u.index] >> v.index) & 1 == 1
-
-    @cached_property
-    def _bruhat_down_reach(self) -> tuple[int, ...]:
-        # the transpose of _bruhat_up_reach: its rows as one byte per bit,
-        # concatenated, so column v is one slice with step order
-        n = self.order
-        flags = b"".join(_bit_flags(row, n) for row in self._bruhat_up_reach)
-        return tuple(_pack(flags[v::n]) for v in range(n))
-
-    def bruhat_lower_mask(self, v: WeylElement) -> int:
-        """Bitmask over element indices u with u <= v."""
-        return self._bruhat_down_reach[v.index]
 
 
 def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> WeylGroup:

@@ -2,8 +2,9 @@
 
 Each entry pins the sha256 of stdout for one in-process ``cli.main`` run:
 ``pieces``, ``poset --format json`` and ``orbits`` for every (type, delta) in
-``conftest.SCOPE`` at J = {} and J = {1}, plus ``verify`` and
-``verify --format json`` for A3 flip and D4 tri. A changed digest means the
+``conftest.SCOPE`` at J = {} and J = {1}, ``orbits`` also at J = every simple
+index (where shift classes are not single elements, so their order shows),
+plus ``verify`` and ``verify --format json`` for A3 flip and D4 tri. A changed digest means the
 command's output changed.
 """
 
@@ -108,6 +109,20 @@ GOLDEN = {
     ('G2', 'id', '1', 'pieces'): "7c469921c23846583c2fedc2768dab202de8b4f9db97ed8c4563eb15a2e441c2",
     ('G2', 'id', '1', 'poset --format json'): "30de112ee1c4190caadc22f082d76c3f30d277f0a90122e7f7db78d953a79a46",
     ('G2', 'id', '1', 'orbits'): "7ee5d50f416a8f533b909c0980ec761b16fa96d8cb1b07a65dd21b34ecf3f52d",
+    ('A2', 'id', '1,2', 'orbits'): "3af7fca9c5fc1141e9d246cdae38ef95fe6d6cf15e37b30a1ea1e88343cb22d1",
+    ('A2', 'flip', '1,2', 'orbits'): "54055e85223e00dfa3cf93e728f85467ee4bb2eda9739709f2a77ebd765a01d7",
+    ('A3', 'id', '1,2,3', 'orbits'): "11c02828383c2548edd36f496db15402e069845d8efb2a583f28f34329545b84",
+    ('A3', 'flip', '1,2,3', 'orbits'): "a24af0498e3e5a8d04ebd85ff26bbab6b1cfd6989148073e3ed822c18835d89c",
+    ('A4', 'id', '1,2,3,4', 'orbits'): "6224565bef618747e854aadd27d1917a832c7257bb7427d8dd76f508cb1a9bfb",
+    ('A4', 'flip', '1,2,3,4', 'orbits'): "ca6052724194857292c59f37d27604fd43b57fed81e78e9d9c12954429041e96",
+    ('B2', 'id', '1,2', 'orbits'): "007c159486a4f981da5fe4ed1de2917d7f673f687bae904dcd5f0b97684956a9",
+    ('B3', 'id', '1,2,3', 'orbits'): "7c05cbda5a90d874a0df32e649086787206ed54fa7c3ccdf7391b1890bd3811f",
+    ('C3', 'id', '1,2,3', 'orbits'): "c3674f6f60b618230ea163ae4b11ffa478c238c5a50599ab5ee62e42d54def06",
+    ('D4', 'id', '1,2,3,4', 'orbits'): "f978e3dfdef656a7a235d0a528022ef60412a06ebb8d534595f384af206265be",
+    ('D4', 'flip', '1,2,3,4', 'orbits'): "7a9c281f4f9eaabc8cee28132869b162b13ec58e432c4045215d3ad10be2add5",
+    ('D4', 'tri', '1,2,3,4', 'orbits'): "415088c1ad8fdc0d5cc15656009f3e34ea791c175e77702af83f4b94f10e90d8",
+    ('D4', 'tri2', '1,2,3,4', 'orbits'): "59d6619cc1f34ee4f4ac4f5674beae4ae10d071413c9d43592ceb92acf7c8bb8",
+    ('G2', 'id', '1,2', 'orbits'): "5333c80d6e1bf5b780bac2040941c5537b769bfa20d293bca865b7254fe1cbff",
     ('A3', 'flip', None, 'verify'): "88792459d4625db6a54e4f3a03a527df15864798e0033ee3cb430e7b5ac30cc5",
     ('D4', 'tri', None, 'verify'): "f1ebf3b91df6e4a7e4bf3859697bfecb8903440d3a415300263ed17536a7f89d",
     ('A3', 'flip', None, 'verify --format json'): "df031839ec11a2fcd1340e0b539a705f8672ddde6f07ec4eabb2c4e33edd7b31",

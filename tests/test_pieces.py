@@ -632,7 +632,8 @@ def test_level_search_labels_are_the_min_coset_reps(group_of):
     g = group_of("D4")
     rs = g.root_system
     for J in subsets_of(g.simple_indices):
-        left, length, first = _level_search(rs, [int(i not in J) for i in g.simple_indices], g.simple_indices)
+        size = g.order // rs.parabolic_order(J)
+        left, length, first = _level_search(rs, [int(i not in J) for i in g.simple_indices], g.simple_indices, size)
         reps = g.min_coset_reps(J, "right")
         assert list(length) == [y.length for y in reps]
         pos = {y.index: u for u, y in enumerate(reps)}

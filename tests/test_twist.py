@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 from conftest import SCOPE, root_perm
@@ -11,14 +14,14 @@ from flagpieces.oracle import (
     check_shift_reduction,
     check_stabilizer_type,
     check_strong_conjugacy,
+    run_subset_checks,
     subsets_of,
 )
 from flagpieces.twist import (
     _UNSEEN,
     AutomorphismError,
     DiagramAutomorphism,
-    _components,
-    _PartLabels,
+    _Parts,
     delta_on_element,
     simple_image,
 )
@@ -390,9 +393,10 @@ def test_shift_classes_are_mutual_reachability(tc_of, label, spec):
                 expected.append(cls)
         classes = tc.shift_classes(J)
         assert [tuple(e.index for e in cls) for cls in classes] == expected
-        comp = tc._scc(J)[1]
-        for cid, cls in enumerate(classes):
-            assert all(comp[e.index] == cid for e in cls)
+        parts = tc._scc(J)
+        for cls in classes:
+            assert {parts[e.index] for e in cls} == {parts[cls[0].index]}
+        assert len({parts[cls[0].index] for cls in classes}) == len(classes)
 
 
 def _union_find_strong_classes(tc, J) -> list[int]:
@@ -448,10 +452,32 @@ def test_strong_conjugacy_check_labels_only_orbit_minima(group_of):
     assert len(minima) < g.order
 
 
-def test_part_labels_walk_on_demand_as_components_number_them():
-    # a random symmetric relation on 200 indices: read in increasing order,
-    # the on-demand labels are _components' numbering; read in any order,
-    # they give the same partition
+def _union_find_parts(n: int, adj) -> list[tuple[int, ...]]:
+    """Connected components of a relation given as neighbour sets, by
+    union-find: each ascending, ordered by smallest member."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in range(n):
+        for b in adj[a]:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    parts: dict[int, list[int]] = {}
+    for k in range(n):
+        parts.setdefault(find(k), []).append(k)
+    return [tuple(parts[r]) for r in sorted(parts)]
+
+
+def test_parts_walk_on_demand_and_match_union_find():
+    # a random symmetric relation on 200 indices, looked up in shuffled
+    # order: each part(k) is ascending and holds k, numbers agree exactly
+    # within a part, and all() gives the union-find components
     rng = random.Random(7)
     n = 200
     adj = [set() for _ in range(n)]
@@ -459,15 +485,93 @@ def test_part_labels_walk_on_demand_as_components_number_them():
         a, b = rng.randrange(n), rng.randrange(n)
         adj[a].add(b)
         adj[b].add(a)
-    nb = lambda k: sorted(adj[k])
-    parts, part_of = _components(n, nb)
-    assert list(_PartLabels(n, nb)) == list(part_of)
+    expected = _union_find_parts(n, adj)
     order = list(range(n))
     rng.shuffle(order)
-    shuffled = _PartLabels(n, nb)
-    first = {k: shuffled[k] for k in order}
-    assert _first_seen_labels(first[k] for k in range(n)) == list(part_of)
-    assert shuffled._walked == len(parts)
+    parts = _Parts(n, lambda k: sorted(adj[k]))
+    for k in order:
+        part = parts.part(k)
+        assert k in part and list(part) == sorted(set(part))
+        assert {parts[m] for m in part} == {parts[k]}
+    assert [tuple(p) for p in parts.all()] == expected
+    assert len(set(parts._part_of)) == len(expected)
+    # walked whole in increasing order, a fresh one numbers parts by position
+    fresh = _Parts(n, lambda k: sorted(adj[k]))
+    assert [tuple(p) for p in fresh.all()] == expected
+    assert [fresh[k] for k in range(n)] == [
+        next(i for i, p in enumerate(expected) if k in p) for k in range(n)
+    ]
+
+
+def test_parts_racing_lookups_agree():
+    # threads look parts up at once in different orders; a lookup that
+    # meets a part another thread is still walking waits for its array, and
+    # no part is numbered twice
+    rng = random.Random(11)
+    n = 1000
+    adj = [set() for _ in range(n)]
+    for _ in range(1300):
+        a, b = rng.randrange(n), rng.randrange(n)
+        adj[a].add(b)
+        adj[b].add(a)
+    expected = _union_find_parts(n, adj)
+    part_of = {k: p for p in expected for k in p}
+
+    def neighbours(k):
+        time.sleep(0)  # let the other threads run in the middle of a walk
+        return sorted(adj[k])
+
+    parts = _Parts(n, neighbours)
+    orders = [rng.sample(range(n), n) for _ in range(6)]
+    seen: list[list] = [[] for _ in orders]
+
+    def look(order, out):
+        out.extend((k, tuple(parts.part(k)), parts[k]) for k in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=look, args=args) for args in zip(orders, seen)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in seen:
+        assert len(out) == n
+        assert all(part == part_of[k] for k, part, _ in out)
+        assert all(pid == parts[k] for k, _, pid in out)
+    assert [tuple(p) for p in parts.all()] == expected
+    assert len(parts._parts) == len(expected)
+
+
+@pytest.mark.parametrize("label,spec", SCOPE_CONFIGS)
+def test_shift_classes_do_not_depend_on_orbit_min_first(group_of, label, spec):
+    # orbit_min walks single shift classes of the lazy partition that
+    # shift_classes then completes; the result is the same as walking it whole
+    g = group_of(label)
+    for J in subsets_of(g.simple_indices):
+        cold = fp.TwistedConjugation(g, _delta(g, spec))
+        warm = fp.TwistedConjugation(g, _delta(g, spec))
+        for y in g.min_coset_reps(J, "right"):
+            assert y in warm.orbit_min(y, J)
+        assert warm.shift_classes(J) == cold.shift_classes(J), sorted(J)
+
+
+def test_subset_checks_need_no_shift_adjacency(group_of, monkeypatch):
+    # the shift-adjacency lists serve shift_reachable only: no per-subset
+    # check reads them
+    def refuse(self, J):
+        raise AssertionError("_shift_adjacency was called")
+
+    monkeypatch.setattr(fp.TwistedConjugation, "_shift_adjacency", refuse)
+    g = group_of("D4")
+    delta = _delta(g, "tri")
+    for J in subsets_of(g.simple_indices):
+        for report in run_subset_checks(g, delta, J):
+            assert report.passed, (sorted(J), report.check_name, report.failures)
 
 
 @pytest.mark.parametrize("label,spec", SCOPE_CONFIGS)
@@ -500,9 +604,10 @@ def test_shift_adjacency_is_built_once_per_subset(group_of, monkeypatch):
         tc.shift_reachable(w, J)
     tc.shift_classes(J)
     tc.same_shift_class(g.identity, g.longest_element, [3, 2, 1])
-    assert builds == [J]
+    # once by _shift_adjacency and once by _scc, which walks the steps alone
+    assert builds == [J, J]
     tc.shift_reachable(g.identity, {2})
-    assert builds == [J, frozenset({2})]
+    assert builds == [J, J, frozenset({2})]
 
 
 def test_per_subset_memo_keys_subset_as_a_set(group_of):

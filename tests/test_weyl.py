@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 import time
@@ -203,6 +204,52 @@ def test_bruhat_examples(group_of):
 def test_bruhat_agrees_with_subword_oracle(group_of, label):
     report = check_bruhat_agreement(group_of(label))
     assert report.passed, report.failures
+
+
+def _plant_bruhat_faults(g, monkeypatch, pairs) -> None:
+    """Flip bit v of row u of g's Bruhat table for each (u, v) in pairs; the
+    table is restored after the test."""
+    reach = list(g._bruhat_up_reach)
+    for u, v in pairs:
+        reach[u] ^= 1 << v
+    monkeypatch.setitem(g.__dict__, "_bruhat_up_reach", tuple(reach))
+
+
+@pytest.mark.parametrize("label,instances", [("B3", 2_304), ("F4", 1_292_544)])
+def test_bruhat_check_reports_each_planted_fault(group_of, monkeypatch, label, instances):
+    # k flipped bits at v within the word cap: exactly k failures, each
+    # naming its pair, and the same instance count as a clean table
+    g = group_of(label)
+    capped = [v for v in range(g.order) if g._length[v] <= 20]
+    rng = random.Random(label)
+    pairs = {(rng.randrange(g.order), rng.choice(capped)) for _ in range(5)}
+    # two faults in one column: the identity is below every v
+    pairs |= {(0, capped[-1]), (g.order - 1, capped[-1])}
+    truth = {(u, v): g.bruhat_leq(g.elements[u], g.elements[v]) for u, v in pairs}
+    _plant_bruhat_faults(g, monkeypatch, pairs)
+    report = check_bruhat_agreement(g)
+    assert report.instances_checked == instances
+    assert report.failure_count == len(pairs) == len(report.failures)
+    assert sorted(report.failures) == sorted(
+        (
+            f"u={word_str(g.elements[u])} vs v={word_str(g.elements[v])}",
+            str(int(truth[u, v])),
+            str(int(not truth[u, v])),
+        )
+        for u, v in pairs
+    )
+
+
+def test_bruhat_check_skips_a_fault_beyond_the_word_cap(group_of, monkeypatch):
+    # the subword oracle refuses v longer than 20 letters, so a fault there
+    # goes unseen; F4 has 30 elements that long
+    g = group_of("F4")
+    assert g.longest_element.length > 20
+    _plant_bruhat_faults(g, monkeypatch, [(0, g.longest_element.index)])
+    assert not g.bruhat_leq(g.identity, g.longest_element)
+    report = check_bruhat_agreement(g)
+    assert report.passed
+    assert report.instances_checked == 1_292_544
 
 
 def test_bruhat_covers_are_length_one_steps(group_of):
@@ -489,7 +536,7 @@ def test_parabolic_tables_match_the_group(group_of, label):
     g = group_of(label)
     rs = g.root_system
     for J in subsets_of(g.simple_indices):
-        left, length, first = _level_search(rs, [1] * g.rank, sorted(J))
+        left, length, first = _level_search(rs, [1] * g.rank, sorted(J), rs.parabolic_order(J))
         inv, right = _inverse_and_right(left, length, first)
         words = [()]
         for u in range(1, len(length)):
@@ -511,24 +558,36 @@ def _searches(rs):
     order = rs.datum.weyl_group_order
     yield [1] * rs.rank, range(1, rs.rank + 1), order
     for J in subsets_of(range(1, rs.rank + 1)):
-        size = len(_level_search(rs, [1] * rs.rank, sorted(J))[1])
+        size = rs.parabolic_order(J)
         yield [1] * rs.rank, sorted(J), size
         yield [int(i not in J) for i in range(1, rs.rank + 1)], range(1, rs.rank + 1), order // size
 
 
 @pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4", "D5"}))
-def test_level_search_runs_and_doubling(label):
+def test_level_search_first_letters_ascend_within_a_level(label):
     # _inverse_and_right gathers one run per level and first letter, so
-    # first must not decrease within a level; and the tables grown from
-    # capacity 1 equal the ones sized at once
+    # first must not decrease within a level
     rs = fp.build_root_system(fp.CartanDatum.from_label(label))
     for start, letters, size in _searches(rs):
         left, length, first = _level_search(rs, start, letters, size)
         assert len(length) == size
+        assert all(len(left[i]) == size for i in letters)
         assert all(
             f <= f2 for f, f2, l, l2 in zip(first[1:], first[2:], length[1:], length[2:]) if l == l2
         )
-        assert _level_search(rs, start, letters, 1) == (left, length, first)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+def test_level_search_refuses_a_wrong_size(label):
+    # the size is exact: one point short fails on a left table (a one-point
+    # orbit writes none, and fails on the count), one spare slot fails
+    # naming both counts
+    rs = fp.build_root_system(fp.CartanDatum.from_label(label))
+    for start, letters, size in _searches(rs):
+        with pytest.raises(IndexError if size > 1 else ValueError):
+            _level_search(rs, start, letters, size - 1)
+        with pytest.raises(ValueError, match=f"has {size} points.* sized for {size + 1}"):
+            _level_search(rs, start, letters, size + 1)
 
 
 @pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4"}))
