@@ -2,114 +2,70 @@
 Frobenius-stable pieces: Weyl groups, twisted conjugation, stabilizing
 sequences, closure posets, and exhaustive brute-force verification.
 
-The verification suite, `flagpieces.oracle`, is imported on first use (a
-module `__getattr__`, PEP 562), so commands that do not verify never load it.
+`import flagpieces` loads no submodule: each public name is imported from
+the module that defines it on first use (a module `__getattr__`, PEP 562),
+so a command loads only the modules it runs. `flagpieces.oracle`, the
+verification suite, resolves the same way.
 """
-
-from .rootsys import (
-    CartanDatum,
-    CartanError,
-    Root,
-    RootSystem,
-    build_root_system,
-    root_system,
-    standard_cartan_matrix,
-)
-from .weyl import (
-    DEFAULT_MAX_ELEMENTS,
-    GroupTooLargeError,
-    WeylElement,
-    WeylGroup,
-    format_subset,
-    parse_subset,
-    parse_word,
-    weyl_group,
-    word_str,
-)
-from .twist import (
-    AutomorphismError,
-    DiagramAutomorphism,
-    Reduction,
-    TwistClass,
-    TwistedConjugation,
-    TwistedOrbit,
-    delta_on_element,
-    stable_support,
-    support,
-)
-from .pieces import (
-    ClosurePoset,
-    CriterionNotApplicable,
-    PieceRecord,
-    RootInclusionReport,
-    SequenceError,
-    TwistedSequence,
-    closure_poset,
-    is_irreducible,
-    parabolic_restriction_type,
-    piece_closure,
-    piece_records,
-    sequence_for,
-    sequence_root_inclusions,
-    sequence_to_label,
-    simple_image_subset,
-    twisted_leq,
-    validate_sequence,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CartanDatum",
-    "CartanError",
-    "Root",
-    "RootSystem",
-    "build_root_system",
-    "root_system",
-    "standard_cartan_matrix",
-    "DEFAULT_MAX_ELEMENTS",
-    "GroupTooLargeError",
-    "WeylElement",
-    "WeylGroup",
-    "format_subset",
-    "parse_subset",
-    "parse_word",
-    "weyl_group",
-    "word_str",
-    "AutomorphismError",
-    "DiagramAutomorphism",
-    "Reduction",
-    "TwistClass",
-    "TwistedConjugation",
-    "TwistedOrbit",
-    "delta_on_element",
-    "stable_support",
-    "support",
-    "ClosurePoset",
-    "CriterionNotApplicable",
-    "PieceRecord",
-    "RootInclusionReport",
-    "SequenceError",
-    "TwistedSequence",
-    "closure_poset",
-    "is_irreducible",
-    "parabolic_restriction_type",
-    "piece_closure",
-    "piece_records",
-    "sequence_for",
-    "sequence_root_inclusions",
-    "sequence_to_label",
-    "simple_image_subset",
-    "twisted_leq",
-    "validate_sequence",
-    "oracle",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    "CartanDatum": "rootsys",
+    "CartanError": "rootsys",
+    "Root": "rootsys",
+    "RootSystem": "rootsys",
+    "build_root_system": "rootsys",
+    "root_system": "rootsys",
+    "standard_cartan_matrix": "rootsys",
+    "DEFAULT_MAX_ELEMENTS": "rootsys",
+    "GroupTooLargeError": "rootsys",
+    "format_subset": "rootsys",
+    "parse_subset": "rootsys",
+    "AutomorphismError": "rootsys",
+    "DiagramAutomorphism": "rootsys",
+    "WeylElement": "weyl",
+    "WeylGroup": "weyl",
+    "parse_word": "weyl",
+    "weyl_group": "weyl",
+    "word_str": "weyl",
+    "Reduction": "twist",
+    "TwistClass": "twist",
+    "TwistedConjugation": "twist",
+    "TwistedOrbit": "twist",
+    "delta_on_element": "twist",
+    "stable_support": "twist",
+    "support": "twist",
+    "ClosurePoset": "pieces",
+    "CriterionNotApplicable": "pieces",
+    "PieceRecord": "pieces",
+    "RootInclusionReport": "pieces",
+    "SequenceError": "pieces",
+    "TwistedSequence": "pieces",
+    "closure_poset": "pieces",
+    "is_irreducible": "pieces",
+    "parabolic_restriction_type": "pieces",
+    "piece_closure": "pieces",
+    "piece_records": "pieces",
+    "sequence_for": "pieces",
+    "sequence_root_inclusions": "pieces",
+    "sequence_to_label": "pieces",
+    "simple_image_subset": "pieces",
+    "twisted_leq": "pieces",
+    "validate_sequence": "pieces",
+    "oracle": "oracle",  # the module itself
+}
+
+__all__ = [*_HOMES, "__version__"]
 
 
 def __getattr__(name: str):
-    if name == "oracle":  # `from . import oracle` would recurse through hasattr
-        import importlib
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # `from . import` would recurse through hasattr
 
-        return importlib.import_module(".oracle", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{home}", __name__)
+    value = globals()[name] = module if name == home else getattr(module, name)
+    return value

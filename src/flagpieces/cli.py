@@ -1,31 +1,37 @@
 """Command-line front end: pieces, poset, orbits, sequence, closure, verify.
 
 Exit codes: 0 on success, 1 when the verify suite finds a failure, 2 on bad
-configuration, when memory runs out, or when a verify worker process dies.
-All output is deterministic for a fixed configuration. A command imports
-only what it runs: `oracle` only for verify, `json` only for --format json.
+configuration, when memory runs out or would (the |W|^2 Bruhat table of
+`poset`, `closure` and `verify` is refused when it exceeds physical memory),
+or when a verify worker process dies. All output is deterministic for a fixed
+configuration. A command imports only what it runs: `pieces` only `rootsys`
+and `pairs`; the others, once their arguments are checked, the group-table
+modules `weyl` and `twist`, and `pieces` where they read it; `oracle` only
+verify, and `json` only --format json. Headers and payloads name the type by
+its canonical label.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import NamedTuple
 
-from . import pieces
-from .rootsys import CartanDatum, CartanError, build_root_system
-from .twist import AutomorphismError, DiagramAutomorphism, TwistedConjugation
-from .weyl import (
+from .pairs import _piece_rows
+from .rootsys import (
     DEFAULT_MAX_ELEMENTS,
+    AutomorphismError,
+    CartanDatum,
+    CartanError,
+    DiagramAutomorphism,
     GroupTooLargeError,
-    WeylElement,
-    WeylGroup,
+    build_root_system,
     check_ceiling,
     format_subset,
     letters_str,
     parse_letters,
     parse_subset,
-    word_str,
 )
 
 COMMANDS = ("pieces", "poset", "orbits", "sequence", "closure", "verify")
@@ -43,6 +49,11 @@ class Context(NamedTuple):
     group: WeylGroup | None  # None for pieces, which builds no group table
     tc: TwistedConjugation | None
     w: WeylElement | None
+
+    @property
+    def cartan(self) -> str:
+        """The canonical type label: --cartan " A03" prints as A3."""
+        return self.delta.root_system.datum.label
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,13 +103,24 @@ def _build_context(cfg: argparse.Namespace) -> Context:
         raise ConfigError(f"the {cfg.command} command requires --w")
     if cfg.format == "dot" and cfg.command != "poset":
         raise ConfigError("format 'dot' is only available for the poset command")
+    if cfg.command in ("poset", "closure", "verify"):  # they build the |W|^2-bit Bruhat table
+        need = datum.weyl_group_order**2 // 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigError(
+                f"the {cfg.command} command needs the {need / 2**30:.1f} GiB Bruhat table "
+                f"of {datum.label}, more than the {have / 2**30:.1f} GiB of physical memory"
+            )
     if cfg.command == "pieces":  # enumerates W_J and ^JW, not W
         return Context(cfg, delta, J, None, None, None)
+    from .twist import TwistedConjugation
+    from .weyl import WeylGroup
+
     group = WeylGroup(rs, cfg.max_elements)
     w = group.from_word(letters) if letters is not None else None
     if cfg.command == "sequence" and not group.is_min_left_rep(w, J):
         raise ConfigError(
-            f"precondition violated: w = {word_str(w)} is not a minimal coset "
+            f"precondition violated: w = {letters_str(w.word)} is not a minimal coset "
             f"representative for J = {{{format_subset(J)}}} (w must lie in W^J)"
         )
     return Context(cfg, delta, J, group, TwistedConjugation(group, delta), w)
@@ -124,10 +146,10 @@ def _irr_text(flag: bool | None) -> str:
 
 
 def cmd_pieces(ctx: Context) -> str:
-    rows = pieces._piece_rows(ctx.delta, ctx.J)
+    rows = _piece_rows(ctx.delta, ctx.J)
     if ctx.cfg.format == "json":
         payload = {
-            "cartan": ctx.cfg.cartan,
+            "cartan": ctx.cartan,
             "delta": ctx.delta.spec,
             "J": sorted(ctx.J),
             "pieces": [
@@ -143,7 +165,7 @@ def cmd_pieces(ctx: Context) -> str:
         }
         return _json(payload)
     lines = [
-        f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
+        f"# cartan={ctx.cartan} delta={ctx.delta.spec} "
         f"J={_subset_text(ctx.J)} pieces={len(rows)}"
     ]
     for r in rows:
@@ -161,13 +183,13 @@ def cmd_pieces(ctx: Context) -> str:
 
 def _poset_payload(ctx: Context, poset: pieces.ClosurePoset) -> dict:
     return {
-        "cartan": ctx.cfg.cartan,
+        "cartan": ctx.cartan,
         "delta": ctx.delta.spec,
         "J": sorted(ctx.J),
         "nodes": [
             {
                 "id": k,
-                "word": word_str(r.index_w),
+                "word": letters_str(r.index_w.word),
                 "length": r.index_w.length,
                 "stabilizer": sorted(r.stabilizer_set),
                 "irreducible": r.irreducible,
@@ -182,12 +204,12 @@ def _poset_dot(ctx: Context, poset: pieces.ClosurePoset) -> str:
     lines = [
         "digraph closure_poset {",
         "  rankdir=BT;",
-        f'  label="{ctx.cfg.cartan} delta={ctx.delta.spec} J={_subset_text(ctx.J)}";',
+        f'  label="{ctx.cartan} delta={ctx.delta.spec} J={_subset_text(ctx.J)}";',
         "  node [shape=box];",
     ]
     for k, r in enumerate(poset.records):
         lines.append(
-            f'  n{k} [label="{word_str(r.index_w)}\\nl={r.index_w.length} '
+            f'  n{k} [label="{letters_str(r.index_w.word)}\\nl={r.index_w.length} '
             f'stab={_subset_text(r.stabilizer_set)}"];'
         )
     by_rank: dict[int, list[int]] = {}
@@ -203,6 +225,8 @@ def _poset_dot(ctx: Context, poset: pieces.ClosurePoset) -> str:
 
 
 def cmd_poset(ctx: Context) -> str:
+    from . import pieces
+
     poset = pieces.closure_poset(ctx.tc, ctx.J)
     if ctx.cfg.format == "dot":
         return _poset_dot(ctx, poset)
@@ -210,7 +234,7 @@ def cmd_poset(ctx: Context) -> str:
         return _json(_poset_payload(ctx, poset))
     payload = _poset_payload(ctx, poset)
     lines = [
-        f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
+        f"# cartan={ctx.cartan} delta={ctx.delta.spec} "
         f"J={_subset_text(ctx.J)} nodes={len(payload['nodes'])}"
     ]
     for node in payload["nodes"]:
@@ -242,26 +266,26 @@ def cmd_orbits(ctx: Context) -> str:
     for orbit in orbits:
         cids = sorted({class_of[m.index] for m in orbit.members})
         parts = [
-            [word_str(e) for e in shift_classes[cid]]
+            [letters_str(e.word) for e in shift_classes[cid]]
             for cid in cids
         ]
         rows.append(
             {
-                "members": [word_str(m) for m in orbit.members],
-                "min": [word_str(m) for m in orbit.min_elements],
+                "members": [letters_str(m.word) for m in orbit.members],
+                "min": [letters_str(m.word) for m in orbit.min_elements],
                 "shift_classes": parts,
             }
         )
     if ctx.cfg.format == "json":
         payload = {
-            "cartan": ctx.cfg.cartan,
+            "cartan": ctx.cartan,
             "delta": ctx.delta.spec,
             "J": sorted(J),
             "orbits": rows,
         }
         return _json(payload)
     lines = [
-        f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
+        f"# cartan={ctx.cartan} delta={ctx.delta.spec} "
         f"J={_subset_text(J)} orbits={len(rows)}"
     ]
     for k, row in enumerate(rows):
@@ -277,31 +301,33 @@ def cmd_orbits(ctx: Context) -> str:
 
 
 def cmd_sequence(ctx: Context) -> str:
+    from . import pieces
+
     seq = pieces.sequence_for(ctx.tc, ctx.J, ctx.w)
     label = pieces.sequence_to_label(ctx.tc, seq)
     if ctx.cfg.format == "json":
         payload = {
-            "cartan": ctx.cfg.cartan,
+            "cartan": ctx.cartan,
             "delta": ctx.delta.spec,
             "J": sorted(ctx.J),
-            "w": word_str(ctx.w),
+            "w": letters_str(ctx.w.word),
             "steps": [
-                {"J": sorted(Jn), "w": word_str(wn)} for Jn, wn in seq.steps
+                {"J": sorted(Jn), "w": letters_str(wn.word)} for Jn, wn in seq.steps
             ],
             "stable_J": sorted(seq.stable_J),
-            "stable_w": word_str(seq.stable_w),
-            "label": word_str(label),
+            "stable_w": letters_str(seq.stable_w.word),
+            "label": letters_str(label.word),
         }
         return _json(payload)
     lines = [
-        f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
-        f"J={_subset_text(ctx.J)} w={word_str(ctx.w)}"
+        f"# cartan={ctx.cartan} delta={ctx.delta.spec} "
+        f"J={_subset_text(ctx.J)} w={letters_str(ctx.w.word)}"
     ]
     for n, (Jn, wn) in enumerate(seq.steps):
-        lines.append(f"n={n} J={_subset_text(Jn)} w={word_str(wn)}")
+        lines.append(f"n={n} J={_subset_text(Jn)} w={letters_str(wn.word)}")
     lines.append(
-        f"stable: J={_subset_text(seq.stable_J)} w={word_str(seq.stable_w)} "
-        f"label={word_str(label)}"
+        f"stable: J={_subset_text(seq.stable_J)} w={letters_str(seq.stable_w.word)} "
+        f"label={letters_str(label.word)}"
     )
     return "\n".join(lines) + "\n"
 
@@ -310,22 +336,24 @@ def cmd_sequence(ctx: Context) -> str:
 
 
 def cmd_closure(ctx: Context) -> str:
+    from . import pieces
+
     strata = pieces.piece_closure(ctx.tc, ctx.J, ctx.w)
     if ctx.cfg.format == "json":
         payload = {
-            "cartan": ctx.cfg.cartan,
+            "cartan": ctx.cartan,
             "delta": ctx.delta.spec,
             "J": sorted(ctx.J),
-            "w": word_str(ctx.w),
-            "strata": [word_str(b) for b in strata],
+            "w": letters_str(ctx.w.word),
+            "strata": [letters_str(b.word) for b in strata],
         }
         return _json(payload)
     lines = [
-        f"# cartan={ctx.cfg.cartan} delta={ctx.delta.spec} "
-        f"J={_subset_text(ctx.J)} w={word_str(ctx.w)} strata={len(strata)}"
+        f"# cartan={ctx.cartan} delta={ctx.delta.spec} "
+        f"J={_subset_text(ctx.J)} w={letters_str(ctx.w.word)} strata={len(strata)}"
     ]
     for b in strata:
-        lines.append(f"stratum {word_str(b)}")
+        lines.append(f"stratum {letters_str(b.word)}")
     return "\n".join(lines) + "\n"
 
 
@@ -342,7 +370,7 @@ def cmd_verify(ctx: Context) -> tuple[str, int]:
     ok = all(r.passed for r in reports)
     if ctx.cfg.format == "json":
         payload = {
-            "cartan": ctx.cfg.cartan,
+            "cartan": ctx.cartan,
             "delta": ctx.delta.spec,
             "checks": [
                 {
@@ -358,7 +386,7 @@ def cmd_verify(ctx: Context) -> tuple[str, int]:
             "ok": ok,
         }
         return _json(payload), 0 if ok else 1
-    lines = [f"# verify cartan={ctx.cfg.cartan} delta={ctx.delta.spec}"]
+    lines = [f"# verify cartan={ctx.cartan} delta={ctx.delta.spec}"]
     for r in reports:
         lines.append(r.summary_line())
         for d, e, g in r.failures:

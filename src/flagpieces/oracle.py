@@ -21,7 +21,7 @@ pull job numbers from one pipe, the group checks first and then the subsets'
 jobs longest first, and the reports merge in the serial order: group checks
 first, then each per-subset check over the subsets in `subsets_of` order.
 The bit reads of the twisted-order checks are whole-row C-level calls
-(`weyl._bit_flags`, `_gather`, `_pack`); the orbits, minimal sets and
+(`pairs._bit_flags`, `_gather`, `_pack`); the orbits, minimal sets and
 quantifiers they read are still built literally.
 """
 
@@ -48,9 +48,10 @@ from .pieces import (
     simple_image_subset,
     validate_sequence,
 )
+from .pairs import _bit_flags, _gather, _pack
 from .rootsys import CartanDatum, RootSystem, memoized
-from .twist import TwistedConjugation, stable_support, support
-from .weyl import WeylElement, WeylGroup, _bit_flags, _gather, _pack, word_str
+from .twist import TwistedConjugation, support
+from .weyl import WeylElement, WeylGroup, word_str
 
 _MAX_FAILURES = 8  # per report; enough to debug without flooding output
 

@@ -1,0 +1,270 @@
+"""The table-free engine: weight orbits searched level by level, and the
+pieces computed on pairs (y, x) with y in W^J and x in W_J.
+
+Nothing here builds a group table: the `pieces` command loads this module,
+`rootsys` and the CLI, and no other. `_level_search` enumerates the orbit of a
+dominant weight under some simple reflections, into tables sized once from
+the orbit's closed-form count: the orbit of rho gives W or a parabolic
+subgroup W_J (`weyl.WeylGroup` is built from it), and the orbit of lambda_J
+gives W^J. `_inverse_and_right` derives the inverses and right tables from
+the left ones. The bit kernels read and pack whole rows of bits in C-level
+calls, for `pieces.closure_poset` and the oracle. `_piece_rows` is what the
+`pieces` command prints.
+"""
+
+from __future__ import annotations
+
+import operator
+from array import array
+from bisect import bisect_right
+from typing import NamedTuple
+
+from .rootsys import DiagramAutomorphism, RootSystem, _stable_closure, _stable_part
+
+
+def _weight_field(root_system: RootSystem) -> tuple[int, int]:
+    """Bit width and offset of one packed weight coordinate.
+
+    A key coordinate <w(lambda), alpha_j^vee> equals <lambda, beta^vee> for the
+    root beta = w^-1(alpha_j). For lambda = rho, or any sum of distinct
+    fundamental weights, its absolute value is at most the height of the
+    highest coroot, h - 1 = 2N/n - 1 (Coxeter number h, N positive roots,
+    rank n), so it is stored plus h - 1 in 0..2(h - 1)."""
+    top = 2 * root_system.n_positive // root_system.rank - 1
+    return (2 * top).bit_length(), top
+
+
+# entry of a left table where s_i fixes the searched weight (see _level_search)
+_FIXED = 0xFFFFFFFF
+
+
+def _level_search(root_system: RootSystem, start, letters, capacity: int):
+    """Breadth-first search of the orbit of a dominant weight under the simple
+    reflections s_i, i in letters (increasing), one length level at a time.
+
+    start gives the weight's fundamental-weight coordinates, each 0 or 1. An
+    orbit point lambda = w(start) stands for the shortest such w; it is keyed
+    by its coordinates lambda_j = <lambda, alpha_j^vee>, each stored plus the
+    offset in its own field of one int (`_weight_field`). s_i subtracts
+    lambda_i alpha_i, i.e. lambda_i times column i of the Cartan matrix, and
+    l(s_i w) > l(w) iff lambda_i > 0. With i as the outer loop and the level,
+    in order, as the inner one, each point is first reached from the smallest
+    left descent i of its w, so numbering by discovery gives the (length,
+    lexicographically smallest reduced word) order and that word is
+    (i,) + word(s_i w).
+
+    Returns (left, length, first): left[i][u] is the index of s_i u for i in
+    letters, or _FIXED where lambda_i = 0 and s_i fixes the point (the other
+    slots of left, 0 included, are empty); length[u] and first[u] are the
+    length and smallest left descent of w (first[0] = 0). capacity is the
+    exact orbit size, known in closed form, and sizes every table at once. A
+    wrong one raises: IndexError on a left table when the search outgrows
+    it, ValueError naming both counts otherwise.
+    """
+    rank = root_system.rank
+    a = root_system.datum.cartan_matrix
+    width, offset = _weight_field(root_system)
+    field = (1 << width) - 1
+    shifts = [width * j for j in range(rank)]
+    left = [array("I") for _ in range(rank + 1)]
+    for i in letters:
+        left[i] = array("I", [_FIXED]) * capacity
+    length, first = array("B", [0]) * capacity, array("B", [0]) * capacity
+    n = 1
+    columns = {i: sum(a[j][i - 1] << s for j, s in enumerate(shifts)) for i in letters}
+    level = [sum((c + offset) << s for c, s in zip(start, shifts))]
+    base = 0  # index of level[0]
+    depth = 1  # length of the points found from level
+    while level:
+        ids: dict[int, int] = {}
+        for i in letters:
+            column, shift, li, new = columns[i], shifts[i - 1], left[i], n
+            for u, key in enumerate(level, base):
+                lam = (key >> shift & field) - offset
+                if lam > 0:
+                    q = key - lam * column
+                    j = ids.get(q)
+                    if j is None:
+                        j = ids[q] = n
+                        n += 1
+                    li[u] = j
+                    li[j] = u
+            first[new:n] = array("B", [i]) * (n - new)
+        length[n - len(ids) : n] = array("B", [depth]) * len(ids)
+        base += len(level)
+        level = list(ids)
+        depth += 1
+    if n != capacity:
+        raise ValueError(f"the orbit has {n} points, but the tables were sized for {capacity}")
+    return left, length, first
+
+
+def _inverse_and_right(left, length, first) -> tuple[array, tuple[array, ...]]:
+    """w^-1 per index and the right tables (w s_i), for the tables of a group
+    or a parabolic subgroup (`_level_search` of rho); a right table is empty
+    where the left one is.
+
+    w = s_f v for f = first[w] and v one level down, so w s_i = s_f (v s_i)
+    and w^-1 = v^-1 s_f. The points of one level with one first letter f are
+    one run of indices, so each table takes one gather per run (in chunks of
+    at most 2^14 positions, to bound the transient ints)."""
+    n = len(length)
+    inv = array("I", [0]) * n
+    right = [array("I", lm[:1]) * n if lm else lm for lm in left]  # e s_i = s_i
+    a = 1
+    while a < n:
+        f = first[a]
+        b = min(bisect_right(first, f, a, bisect_right(length, length[a], a)), a + (1 << 14))
+        lf, at_v = left[f], _gather(left[f][a:b])
+        for rm in right:
+            if rm:
+                rm[a:b] = array("I", _gather(at_v(rm))(lf))
+        inv[a:b] = array("I", _gather(at_v(inv))(right[f]))
+        a = b
+    return inv, tuple(right)
+
+
+# Whole-row bit kernels: a mask becomes one byte per bit, a row of bits is
+# read at many positions by one itemgetter, and 0/1 flags pack back into a
+# mask, each in a C-level call instead of one big-int operation per bit.
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bit_flags(mask: int, width: int) -> bytes:
+    """Byte k is bit k of mask (0 or 1), for every k < width."""
+    return format(mask, f"0{width}b").encode().translate(_TO_FLAGS)[::-1]
+
+
+def _gather(positions):
+    """A function giving the items of a sequence at positions, as a tuple.
+
+    positions must not be empty; for one position, itemgetter alone would
+    give the bare item."""
+    get = operator.itemgetter(*positions)
+    return (lambda seq: (get(seq),)) if len(positions) == 1 else get
+
+
+def _pack(flags) -> int:
+    """The mask with bit k set iff flags[k], for 0/1 (or bool) flags, at
+    least one."""
+    return int(bytes(flags)[::-1].translate(_TO_DIGITS), 2)
+
+
+class _PieceRow(NamedTuple):
+    """What `pieces` prints of one piece, as words (tuples of letters)."""
+
+    word: tuple[int, ...]  # the label b in ^JW
+    stabilizer_set: frozenset[int]
+    orbit_min: tuple[tuple[int, ...], ...]
+    irreducible: bool | None
+
+
+def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
+    """The pieces for J as `pieces.piece_records` gives them, without a group
+    table.
+
+    Every element of W is one pair (y, x) standing for y x, with y in W^J and
+    x in W_J, and l(y x) = l(y) + l(x); label b is represented by
+    y = b^-1, the pair (y, e). W_J is the level search of rho under the s_k,
+    k in J, and W^J that of lambda_J, the sum of the fundamental weights off
+    J, under every s_i, since lambda_J has stabilizer W_J
+    (`_level_search`). By Deodhar's lemma (Geck-Pfeiffer, Lemma 2.1.2),
+    s_i y is another element of W^J or y s_k with k in J. In the second case
+    s_i fixes y(lambda_J), the search leaves the entry _FIXED, and k is read
+    off the root y^-1(alpha_i) = alpha_k. So s_i (y, x) is (s_i y, x) or
+    (y, s_k x), and (y, x) s_j = (y, x s_j) for j in J.
+
+    The (i, k) pairs of y are its simple images y(alpha_k) = alpha_i, which
+    give the stabilizer type. The orbit minima of y are its shift class
+    (`twist.TwistedConjugation.orbit_min`), each shift step two table steps. A
+    word is found by stripping the smallest left descent of (y, x): that of
+    y, or a smaller i of an (i, k) pair with k a left descent of x. Labels
+    and minima are sorted as the group orders elements: by length, then word.
+    """
+    rs = delta.root_system
+    rank, J = rs.rank, frozenset(J)
+    letters = range(1, rank + 1)
+    full = frozenset(letters)
+    xl, xlen, xfirst = _level_search(rs, [1] * rank, sorted(J), rs.parabolic_order(J))
+    xr = _inverse_and_right(xl, xlen, xfirst)[1]
+    yl, ylen, yfirst = _level_search(
+        rs, [int(i not in J) for i in letters], letters, rs.datum.weyl_group_order // len(xlen)
+    )
+    # fixed[y][i] = k where s_i y = y s_k, by increasing i; a y with no such
+    # i has no entry
+    fixed: dict[int, dict[int, int]] = {}
+    simple_of = {rs.simple_root_index(k): k for k in letters}
+    reflect = rs.simple_reflection_table
+    for i in letters:
+        li = yl[i]
+        for u in [u for u, v in enumerate(li) if v == _FIXED]:
+            r, v = rs.simple_root_index(i), u
+            while v:  # y^-1 = (s_f y')^-1 = y'^-1 s_f
+                f = yfirst[v]
+                r, v = reflect[f - 1][r], yl[f][v]
+            fixed.setdefault(u, {})[i] = simple_of[r]
+            li[u] = u
+
+    no_fixed: dict[int, int] = {}
+
+    def left(i: int, y: int, x: int) -> tuple[int, int]:
+        v = yl[i][y]
+        if v != y:
+            return v, x
+        return y, xl[fixed[y][i]][x]
+
+    def word(y: int, x: int) -> tuple[int, ...]:
+        out = []
+        while x:
+            f = yfirst[y] if y else rank + 1
+            for i, k in fixed.get(y, no_fixed).items():
+                if i < f and xl[k][x] < x:
+                    out.append(i)
+                    x = xl[k][x]
+                    break
+            else:
+                out.append(f)
+                y = yl[f][y]
+        while y:  # x = e: the smallest left descents are those of y
+            f = yfirst[y]
+            out.append(f)
+            y = yl[f][y]
+        return tuple(out)
+
+    steps = [(delta(j), xr[j]) for j in sorted(J)]
+    rows = []
+    for u in range(len(ylen)):
+        # the word of y_u, and the pair (y, x) of the label b = y_u^-1, one
+        # left step per letter of that word (`left`, inlined)
+        y_word, y, x, v = [], 0, 0, u
+        while v:
+            f = yfirst[v]
+            y_word.append(f)
+            v = yl[f][v]
+            t = yl[f][y]
+            if t != y:
+                y = t
+            else:
+                x = xl[fixed[y][f]][x]
+        b_word = word(y, x)
+        image = dict.fromkeys(J)
+        image.update((k, i) for i, k in fixed.get(u, no_fixed).items())
+        found, seen = [(u, 0)], {(u, 0)}
+        for y, x in found:  # found grows while it is walked
+            for d, r in steps:
+                z, x2 = left(d, y, x)
+                z = (z, r[x2])
+                if z not in seen and ylen[z[0]] + xlen[z[1]] == ylen[u]:
+                    seen.add(z)
+                    found.append(z)
+        rows.append(
+            _PieceRow(
+                b_word,
+                _stable_part(image, delta),
+                tuple(sorted([tuple(y_word)] + [word(y, x) for y, x in found[1:]])),
+                None if J == full else _stable_closure(b_word, delta) == full,
+            )
+        )
+    rows.sort(key=lambda row: (len(row.word), row.word))
+    return tuple(rows)

@@ -6,9 +6,9 @@ stabilizing sequence (J_n, w_n), a stabilizer type, the minimal elements of
 its twisted orbit, an irreducibility flag, and a position in the closure
 poset given by the twisted partial order on minimal representatives.
 
-`piece_records` reads the labels off a group table. `_piece_rows`, which the
-`pieces` command prints, computes the same data in W^J x W_J without one;
-the tests compare the two.
+Everything here reads a group table. `piece_records` reads the labels off
+it; the `pieces` command prints the same data from `pairs._piece_rows`,
+computed in W^J x W_J without a table, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -18,25 +18,10 @@ from itertools import compress
 from operator import or_
 from typing import NamedTuple
 
+from .pairs import _bit_flags, _gather, _pack
 from .rootsys import memoized
-from .twist import (
-    DiagramAutomorphism,
-    TwistedConjugation,
-    _stable_closure,
-    _stable_part,
-    simple_image,
-    stable_support,
-)
-from .weyl import (
-    _FIXED,
-    WeylElement,
-    WeylGroup,
-    _bit_flags,
-    _gather,
-    _inverse_and_right,
-    _level_search,
-    _pack,
-)
+from .twist import TwistedConjugation, simple_image, stable_support
+from .weyl import WeylElement, WeylGroup
 
 
 class SequenceError(ValueError):
@@ -206,124 +191,6 @@ def piece_records(tc: TwistedConjugation, J) -> tuple[PieceRecord, ...]:
             )
         )
     return tuple(out)
-
-
-class _PieceRow(NamedTuple):
-    """What `pieces` prints of one piece, as words (tuples of letters)."""
-
-    word: tuple[int, ...]  # the label b in ^JW
-    stabilizer_set: frozenset[int]
-    orbit_min: tuple[tuple[int, ...], ...]
-    irreducible: bool | None
-
-
-def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
-    """The pieces for J as `piece_records` gives them, without a group table.
-
-    Every element of W is one pair (y, x) standing for y x, with y in W^J and
-    x in W_J, and l(y x) = l(y) + l(x); label b is represented by
-    y = b^-1, the pair (y, e). W_J is the level search of rho under the s_k,
-    k in J, and W^J that of lambda_J, the sum of the fundamental weights off
-    J, under every s_i, since lambda_J has stabilizer W_J
-    (`weyl._level_search`). By Deodhar's lemma (Geck-Pfeiffer, Lemma 2.1.2),
-    s_i y is another element of W^J or y s_k with k in J. In the second case
-    s_i fixes y(lambda_J), the search leaves the entry _FIXED, and k is read
-    off the root y^-1(alpha_i) = alpha_k. So s_i (y, x) is (s_i y, x) or
-    (y, s_k x), and (y, x) s_j = (y, x s_j) for j in J.
-
-    The (i, k) pairs of y are its simple images y(alpha_k) = alpha_i, which
-    give the stabilizer type. The orbit minima of y are its shift class
-    (`TwistedConjugation.orbit_min`), each shift step two table steps. A
-    word is found by stripping the smallest left descent of (y, x): that of
-    y, or a smaller i of an (i, k) pair with k a left descent of x. Labels
-    and minima are sorted as the group orders elements: by length, then word.
-    """
-    rs = delta.root_system
-    rank, J = rs.rank, frozenset(J)
-    letters = range(1, rank + 1)
-    full = frozenset(letters)
-    xl, xlen, xfirst = _level_search(rs, [1] * rank, sorted(J), rs.parabolic_order(J))
-    xr = _inverse_and_right(xl, xlen, xfirst)[1]
-    yl, ylen, yfirst = _level_search(
-        rs, [int(i not in J) for i in letters], letters, rs.datum.weyl_group_order // len(xlen)
-    )
-    # fixed[y][i] = k where s_i y = y s_k, by increasing i; a y with no such
-    # i has no entry
-    fixed: dict[int, dict[int, int]] = {}
-    simple_of = {rs.simple_root_index(k): k for k in letters}
-    reflect = rs.simple_reflection_table
-    for i in letters:
-        li = yl[i]
-        for u in [u for u, v in enumerate(li) if v == _FIXED]:
-            r, v = rs.simple_root_index(i), u
-            while v:  # y^-1 = (s_f y')^-1 = y'^-1 s_f
-                f = yfirst[v]
-                r, v = reflect[f - 1][r], yl[f][v]
-            fixed.setdefault(u, {})[i] = simple_of[r]
-            li[u] = u
-
-    no_fixed: dict[int, int] = {}
-
-    def left(i: int, y: int, x: int) -> tuple[int, int]:
-        v = yl[i][y]
-        if v != y:
-            return v, x
-        return y, xl[fixed[y][i]][x]
-
-    def word(y: int, x: int) -> tuple[int, ...]:
-        out = []
-        while x:
-            f = yfirst[y] if y else rank + 1
-            for i, k in fixed.get(y, no_fixed).items():
-                if i < f and xl[k][x] < x:
-                    out.append(i)
-                    x = xl[k][x]
-                    break
-            else:
-                out.append(f)
-                y = yl[f][y]
-        while y:  # x = e: the smallest left descents are those of y
-            f = yfirst[y]
-            out.append(f)
-            y = yl[f][y]
-        return tuple(out)
-
-    steps = [(delta(j), xr[j]) for j in sorted(J)]
-    rows = []
-    for u in range(len(ylen)):
-        # the word of y_u, and the pair (y, x) of the label b = y_u^-1, one
-        # left step per letter of that word (`left`, inlined)
-        y_word, y, x, v = [], 0, 0, u
-        while v:
-            f = yfirst[v]
-            y_word.append(f)
-            v = yl[f][v]
-            t = yl[f][y]
-            if t != y:
-                y = t
-            else:
-                x = xl[fixed[y][f]][x]
-        b_word = word(y, x)
-        image = dict.fromkeys(J)
-        image.update((k, i) for i, k in fixed.get(u, no_fixed).items())
-        found, seen = [(u, 0)], {(u, 0)}
-        for y, x in found:  # found grows while it is walked
-            for d, r in steps:
-                z, x2 = left(d, y, x)
-                z = (z, r[x2])
-                if z not in seen and ylen[z[0]] + xlen[z[1]] == ylen[u]:
-                    seen.add(z)
-                    found.append(z)
-        rows.append(
-            _PieceRow(
-                b_word,
-                _stable_part(image, delta),
-                tuple(sorted([tuple(y_word)] + [word(y, x) for y, x in found[1:]])),
-                None if J == full else _stable_closure(b_word, delta) == full,
-            )
-        )
-    rows.sort(key=lambda row: (len(row.word), row.word))
-    return tuple(rows)
 
 
 @memoized

@@ -7,6 +7,10 @@ drives the simple reflection: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i.
 A Cartan datum is validated in integers: an integer symmetrizer, and
 Sylvester's criterion by fraction-free (Bareiss) elimination. Only the
 `symmetrizer`, `bilinear` and `coroot_pairing` accessors use `Fraction`.
+
+Also here is what needs a root system but no group table: the element
+ceiling (`check_ceiling`), diagram automorphisms and their stable subsets,
+and the parsing and printing of words and subsets.
 """
 
 from __future__ import annotations
@@ -169,6 +173,24 @@ class CartanDatum:
         d = self.symmetrizer
         return tuple(
             tuple(d[i] * aij for aij in row) for i, row in enumerate(self.cartan_matrix)
+        )
+
+
+# Default enumeration ceiling: admits every exceptional type up to E7
+# (order 2,903,040); E8 requires an explicit override.
+DEFAULT_MAX_ELEMENTS = 3_000_000
+
+
+class GroupTooLargeError(RuntimeError):
+    """Raised when enumeration would exceed the element-count ceiling."""
+
+
+def check_ceiling(datum: CartanDatum, max_elements: int) -> None:
+    """Refuse a type whose closed-form group order exceeds max_elements."""
+    if datum.weyl_group_order > max_elements:
+        raise GroupTooLargeError(
+            f"group of type {datum.label} exceeds the element ceiling "
+            f"{max_elements}; pass a larger max_elements to enumerate it anyway"
         )
 
 
@@ -403,3 +425,149 @@ def build_root_system(datum: CartanDatum) -> RootSystem:
 def root_system(label: str) -> RootSystem:
     """Convenience constructor from a type label like "B3"."""
     return build_root_system(CartanDatum.from_label(label))
+
+
+class AutomorphismError(ValueError):
+    """The permutation does not define a diagram automorphism."""
+
+
+class DiagramAutomorphism:
+    """A Cartan-matrix-preserving permutation of the simple-root indices."""
+
+    def __init__(self, root_system: RootSystem, images, spec: str | None = None):
+        self.root_system = root_system
+        rank = root_system.rank
+        images = tuple(int(i) for i in images)
+        if sorted(images) != list(range(1, rank + 1)):
+            raise AutomorphismError(
+                f"images {images} are not a permutation of 1..{rank}"
+            )
+        a = root_system.datum.cartan_matrix
+        for i in range(rank):
+            for j in range(rank):
+                if a[images[i] - 1][images[j] - 1] != a[i][j]:
+                    raise AutomorphismError(
+                        f"permutation {images} is not Cartan-preserving: "
+                        f"a[{images[i]}][{images[j]}] != a[{i+1}][{j+1}]"
+                    )
+        self.images = images
+        self.spec = spec if spec is not None else ",".join(str(i) for i in images)
+
+    @classmethod
+    def from_spec(cls, root_system: RootSystem, spec: str) -> DiagramAutomorphism:
+        """Parse "id", "flip", "tri"/"tri2" (D4), or explicit images "2,1,3"."""
+        rank = root_system.rank
+        family = root_system.datum.family
+        s = spec.strip()
+        if s == "id":
+            return cls(root_system, range(1, rank + 1), spec="id")
+        if s == "flip":
+            if family == "A" and rank >= 2:
+                images = [rank + 1 - i for i in range(1, rank + 1)]
+            elif family == "D":
+                images = list(range(1, rank + 1))
+                images[rank - 2], images[rank - 1] = rank, rank - 1
+            elif family == "E" and rank == 6:
+                images = [6, 2, 5, 4, 3, 1]
+            else:
+                raise AutomorphismError(
+                    f"'flip' is not defined for type {root_system.datum.label}"
+                )
+            return cls(root_system, images, spec="flip")
+        if s in ("tri", "tri2"):
+            if not (family == "D" and rank == 4):
+                raise AutomorphismError(f"{s!r} is only defined for type D4")
+            images = [3, 2, 4, 1] if s == "tri" else [4, 2, 1, 3]
+            return cls(root_system, images, spec=s)
+        try:
+            images = [int(p) for p in s.split(",")]
+        except ValueError:
+            raise AutomorphismError(
+                f"cannot parse automorphism {spec!r}: expected 'id', 'flip', "
+                f"'tri', 'tri2', or explicit images like '2,1,3'"
+            )
+        return cls(root_system, images)
+
+    def __call__(self, i: int) -> int:
+        """Image of a simple index (1-based)."""
+        return self.images[i - 1]
+
+    def subset(self, J) -> frozenset[int]:
+        """Image of a subset of simple indices."""
+        return frozenset(self.images[j - 1] for j in J)
+
+    def __repr__(self) -> str:
+        return f"DiagramAutomorphism({self.root_system.datum.label}, {self.spec})"
+
+
+def _stable_closure(subset, delta: DiagramAutomorphism) -> frozenset[int]:
+    """Smallest delta-stable set of simple indices containing subset."""
+    out = set(subset)
+    for i in list(out):
+        # delta permutes the indices: follow the cycle of i to a member
+        j = delta(i)
+        while j not in out:
+            out.add(j)
+            j = delta(j)
+    return frozenset(out)
+
+
+def _stable_part(image: dict, delta: DiagramAutomorphism) -> frozenset[int]:
+    """Largest K inside the keys J of image with image(K) = d(K), where
+    image[k] is the j with w(alpha_k) = alpha_j, or None: the greatest
+    fixpoint of K -> {k in K : image[k] in d(K)}."""
+    K = set(image)
+    while True:
+        target = {delta(k) for k in K}
+        kept = {k for k in K if image[k] in target}
+        if kept == K:
+            return frozenset(K)
+        K = kept
+
+
+# -- letters and subsets (serialized verbatim by the CLI and JSON output) -----
+
+
+def letters_str(word: tuple[int, ...]) -> str:
+    """Serialize letters comma-separated, "e" for none (as `weyl.word_str`)."""
+    return ",".join(map(str, word)) if word else "e"
+
+
+def parse_letters(rank: int, text: str) -> tuple[int, ...]:
+    """The letters of a word string ("e" or empty for none), each checked to
+    lie in 1..rank."""
+    s = text.strip()
+    if s == "e" or s == "":
+        return ()
+    try:
+        letters = tuple(int(part) for part in s.split(","))
+    except ValueError:
+        raise ValueError(f"cannot parse word {text!r}: expected 'e' or comma-separated integers")
+    for i in letters:
+        if not 1 <= i <= rank:
+            raise ValueError(f"word letter {i} out of range 1..{rank}")
+    return letters
+
+
+def format_subset(subset) -> str:
+    """Serialize a simple-index subset as comma-separated sorted indices."""
+    return ",".join(str(j) for j in sorted(subset))
+
+
+def parse_subset(group_or_rank, text: str) -> frozenset[int]:
+    """Parse a comma-separated subset of simple indices; empty string allowed."""
+    rank = group_or_rank if isinstance(group_or_rank, int) else group_or_rank.rank
+    s = text.strip()
+    if not s:
+        return frozenset()
+    try:
+        parts = [int(p) for p in s.split(",")]
+    except ValueError:
+        raise ValueError(f"cannot parse subset {text!r}: expected comma-separated integers")
+    out = frozenset(parts)
+    for j in parts:
+        if not 1 <= j <= rank:
+            raise ValueError(f"subset index {j} out of range 1..{rank}")
+    if len(out) != len(parts):
+        raise ValueError(f"subset {text!r} contains duplicate indices")
+    return out

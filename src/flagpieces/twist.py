@@ -1,13 +1,13 @@
-"""Diagram automorphisms and the twisted conjugation action x . y = d(x) y x^-1.
+"""The twisted conjugation action x . y = d(x) y x^-1 on a group table.
 
-A diagram automorphism d permutes the simple roots while preserving the
-Cartan matrix; it acts on the Weyl group by relabeling the letters of
-reduced words, since d(s_i) = s_d(i). For a subset J of simple indices this
-module computes the twisted W_J-orbits and their minimal elements, the
-stabilizer type of a minimal coset representative, the class decomposition
-of W, the one-step cyclic-shift relation w -> s_d(j) w s_j (when length does
-not grow), its strongly connected components, and strong conjugacy via
-length-additive steps.
+A diagram automorphism d (`rootsys.DiagramAutomorphism`) acts on the Weyl
+group by relabeling the letters of reduced words, since d(s_i) = s_d(i).
+For a subset J of simple indices this module computes the twisted
+W_J-orbits and their minimal elements, the stabilizer type of a minimal
+coset representative, the class decomposition of W, the one-step
+cyclic-shift relation w -> s_d(j) w s_j (when length does not grow), its
+strongly connected components, and strong conjugacy via length-additive
+steps.
 
 Orbits, shift classes and strong-conjugacy classes are three partitions of W,
 and each is the set of connected components of a symmetric relation on
@@ -31,81 +31,8 @@ from array import array
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .rootsys import RootSystem, memoized
+from .rootsys import DiagramAutomorphism, _stable_closure, _stable_part, memoized
 from .weyl import WeylElement, WeylGroup
-
-
-class AutomorphismError(ValueError):
-    """The permutation does not define a diagram automorphism."""
-
-
-class DiagramAutomorphism:
-    """A Cartan-matrix-preserving permutation of the simple-root indices."""
-
-    def __init__(self, root_system: RootSystem, images, spec: str | None = None):
-        self.root_system = root_system
-        rank = root_system.rank
-        images = tuple(int(i) for i in images)
-        if sorted(images) != list(range(1, rank + 1)):
-            raise AutomorphismError(
-                f"images {images} are not a permutation of 1..{rank}"
-            )
-        a = root_system.datum.cartan_matrix
-        for i in range(rank):
-            for j in range(rank):
-                if a[images[i] - 1][images[j] - 1] != a[i][j]:
-                    raise AutomorphismError(
-                        f"permutation {images} is not Cartan-preserving: "
-                        f"a[{images[i]}][{images[j]}] != a[{i+1}][{j+1}]"
-                    )
-        self.images = images
-        self.spec = spec if spec is not None else ",".join(str(i) for i in images)
-
-    @classmethod
-    def from_spec(cls, root_system: RootSystem, spec: str) -> DiagramAutomorphism:
-        """Parse "id", "flip", "tri"/"tri2" (D4), or explicit images "2,1,3"."""
-        rank = root_system.rank
-        family = root_system.datum.family
-        s = spec.strip()
-        if s == "id":
-            return cls(root_system, range(1, rank + 1), spec="id")
-        if s == "flip":
-            if family == "A" and rank >= 2:
-                images = [rank + 1 - i for i in range(1, rank + 1)]
-            elif family == "D":
-                images = list(range(1, rank + 1))
-                images[rank - 2], images[rank - 1] = rank, rank - 1
-            elif family == "E" and rank == 6:
-                images = [6, 2, 5, 4, 3, 1]
-            else:
-                raise AutomorphismError(
-                    f"'flip' is not defined for type {root_system.datum.label}"
-                )
-            return cls(root_system, images, spec="flip")
-        if s in ("tri", "tri2"):
-            if not (family == "D" and rank == 4):
-                raise AutomorphismError(f"{s!r} is only defined for type D4")
-            images = [3, 2, 4, 1] if s == "tri" else [4, 2, 1, 3]
-            return cls(root_system, images, spec=s)
-        try:
-            images = [int(p) for p in s.split(",")]
-        except ValueError:
-            raise AutomorphismError(
-                f"cannot parse automorphism {spec!r}: expected 'id', 'flip', "
-                f"'tri', 'tri2', or explicit images like '2,1,3'"
-            )
-        return cls(root_system, images)
-
-    def __call__(self, i: int) -> int:
-        """Image of a simple index (1-based)."""
-        return self.images[i - 1]
-
-    def subset(self, J) -> frozenset[int]:
-        """Image of a subset of simple indices."""
-        return frozenset(self.images[j - 1] for j in J)
-
-    def __repr__(self) -> str:
-        return f"DiagramAutomorphism({self.root_system.datum.label}, {self.spec})"
 
 
 def delta_on_element(delta: DiagramAutomorphism, w: WeylElement) -> WeylElement:
@@ -130,18 +57,6 @@ def stable_support(w: WeylElement, delta: DiagramAutomorphism) -> frozenset[int]
     return _stable_closure(support(w), delta)
 
 
-def _stable_closure(subset, delta: DiagramAutomorphism) -> frozenset[int]:
-    """Smallest delta-stable set of simple indices containing subset."""
-    out = set(subset)
-    for i in list(out):
-        # delta permutes the indices: follow the cycle of i to a member
-        j = delta(i)
-        while j not in out:
-            out.add(j)
-            j = delta(j)
-    return frozenset(out)
-
-
 def simple_image(w: WeylElement, k: int) -> int | None:
     """The j with w(alpha_k) = alpha_j, or None when w(alpha_k) is not simple."""
     # w s_k w^-1 is the reflection in w(alpha_k), so w(alpha_k) = +-alpha_j
@@ -154,19 +69,6 @@ def simple_image(w: WeylElement, k: int) -> int | None:
             if lmul[j][x] == y:
                 return j
     return None
-
-
-def _stable_part(image: dict, delta: DiagramAutomorphism) -> frozenset[int]:
-    """Largest K inside the keys J of image with image(K) = d(K), where
-    image[k] is the j with w(alpha_k) = alpha_j, or None: the greatest
-    fixpoint of K -> {k in K : image[k] in d(K)}."""
-    K = set(image)
-    while True:
-        target = {delta(k) for k in K}
-        kept = {k for k in K if image[k] in target}
-        if kept == K:
-            return frozenset(K)
-        K = kept
 
 
 _UNSEEN = 0xFFFFFFFF  # part number of an index the walk has not reached

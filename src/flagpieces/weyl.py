@@ -2,18 +2,17 @@
 
 A WeylGroup checks the closed-form order against the element ceiling, then
 enumerates the whole group breadth-first, one length level at a time, keyed on
-w(rho) packed into one int (`_level_search`, which also enumerates parabolic
-subgroups and the orbits of other weights, each into tables sized once from
-its closed-form count). Discovery order is already the
+w(rho) packed into one int (`pairs._level_search`, into tables sized once
+from the closed-form order). Discovery order is already the
 deterministic element order (length, then lexicographically smallest reduced
 word). Per element the group keeps only index arrays: its length and its
 smallest left descent (`array('B')`), and, for each simple index i, a left
 table (s_i w) and a right table (w s_i) of element indices (`array('I')`).
 The search gives the left tables; the right tables and the inverses follow
 from w = s_f v, with f the smallest left descent, one gather per run of a
-level sharing f (`_inverse_and_right`). A WeylElement is created, and kept,
-when its index is first looked up in `WeylGroup.elements`;
-its reduced word is derived then, by stepping down through the smallest left
+level sharing f (`pairs._inverse_and_right`). A WeylElement is created,
+and kept, when its index is first looked up in `WeylGroup.elements`; its
+reduced word is derived then, by stepping down through the smallest left
 descents. Elements multiply by walking a reduced word through the tables;
 since the order is by length first, a table entry larger than its argument is
 a length-increasing step, which decides descents and coset minimality and
@@ -30,158 +29,20 @@ from __future__ import annotations
 
 import operator
 from array import array
-from bisect import bisect_right
 from functools import cached_property
 from typing import Iterable
 
-from .rootsys import CartanDatum, RootSystem, build_root_system, memoized
-
-# Default enumeration ceiling: admits every exceptional type up to E7
-# (order 2,903,040); E8 requires an explicit override.
-DEFAULT_MAX_ELEMENTS = 3_000_000
-
-
-class GroupTooLargeError(RuntimeError):
-    """Raised when enumeration would exceed the element-count ceiling."""
-
-
-def check_ceiling(datum: CartanDatum, max_elements: int) -> None:
-    """Refuse a type whose closed-form group order exceeds max_elements."""
-    if datum.weyl_group_order > max_elements:
-        raise GroupTooLargeError(
-            f"group of type {datum.label} exceeds the element ceiling "
-            f"{max_elements}; pass a larger max_elements to enumerate it anyway"
-        )
-
-
-def _weight_field(root_system: RootSystem) -> tuple[int, int]:
-    """Bit width and offset of one packed weight coordinate.
-
-    A key coordinate <w(lambda), alpha_j^vee> equals <lambda, beta^vee> for the
-    root beta = w^-1(alpha_j). For lambda = rho, or any sum of distinct
-    fundamental weights, its absolute value is at most the height of the
-    highest coroot, h - 1 = 2N/n - 1 (Coxeter number h, N positive roots,
-    rank n), so it is stored plus h - 1 in 0..2(h - 1)."""
-    top = 2 * root_system.n_positive // root_system.rank - 1
-    return (2 * top).bit_length(), top
-
-
-# entry of a left table where s_i fixes the searched weight (see _level_search)
-_FIXED = 0xFFFFFFFF
-
-
-def _level_search(root_system: RootSystem, start, letters, capacity: int):
-    """Breadth-first search of the orbit of a dominant weight under the simple
-    reflections s_i, i in letters (increasing), one length level at a time.
-
-    start gives the weight's fundamental-weight coordinates, each 0 or 1. An
-    orbit point lambda = w(start) stands for the shortest such w; it is keyed
-    by its coordinates lambda_j = <lambda, alpha_j^vee>, each stored plus the
-    offset in its own field of one int (`_weight_field`). s_i subtracts
-    lambda_i alpha_i, i.e. lambda_i times column i of the Cartan matrix, and
-    l(s_i w) > l(w) iff lambda_i > 0. With i as the outer loop and the level,
-    in order, as the inner one, each point is first reached from the smallest
-    left descent i of its w, so numbering by discovery gives the (length,
-    lexicographically smallest reduced word) order and that word is
-    (i,) + word(s_i w).
-
-    Returns (left, length, first): left[i][u] is the index of s_i u for i in
-    letters, or _FIXED where lambda_i = 0 and s_i fixes the point (the other
-    slots of left, 0 included, are empty); length[u] and first[u] are the
-    length and smallest left descent of w (first[0] = 0). capacity is the
-    exact orbit size, known in closed form, and sizes every table at once. A
-    wrong one raises: IndexError on a left table when the search outgrows
-    it, ValueError naming both counts otherwise.
-    """
-    rank = root_system.rank
-    a = root_system.datum.cartan_matrix
-    width, offset = _weight_field(root_system)
-    field = (1 << width) - 1
-    shifts = [width * j for j in range(rank)]
-    left = [array("I") for _ in range(rank + 1)]
-    for i in letters:
-        left[i] = array("I", [_FIXED]) * capacity
-    length, first = array("B", [0]) * capacity, array("B", [0]) * capacity
-    n = 1
-    columns = {i: sum(a[j][i - 1] << s for j, s in enumerate(shifts)) for i in letters}
-    level = [sum((c + offset) << s for c, s in zip(start, shifts))]
-    base = 0  # index of level[0]
-    depth = 1  # length of the points found from level
-    while level:
-        ids: dict[int, int] = {}
-        for i in letters:
-            column, shift, li, new = columns[i], shifts[i - 1], left[i], n
-            for u, key in enumerate(level, base):
-                lam = (key >> shift & field) - offset
-                if lam > 0:
-                    q = key - lam * column
-                    j = ids.get(q)
-                    if j is None:
-                        j = ids[q] = n
-                        n += 1
-                    li[u] = j
-                    li[j] = u
-            first[new:n] = array("B", [i]) * (n - new)
-        length[n - len(ids) : n] = array("B", [depth]) * len(ids)
-        base += len(level)
-        level = list(ids)
-        depth += 1
-    if n != capacity:
-        raise ValueError(f"the orbit has {n} points, but the tables were sized for {capacity}")
-    return left, length, first
-
-
-def _inverse_and_right(left, length, first) -> tuple[array, tuple[array, ...]]:
-    """w^-1 per index and the right tables (w s_i), for the tables of a group
-    or a parabolic subgroup (`_level_search` of rho); a right table is empty
-    where the left one is.
-
-    w = s_f v for f = first[w] and v one level down, so w s_i = s_f (v s_i)
-    and w^-1 = v^-1 s_f. The points of one level with one first letter f are
-    one run of indices, so each table takes one gather per run (in chunks of
-    at most 2^14 positions, to bound the transient ints)."""
-    n = len(length)
-    inv = array("I", [0]) * n
-    right = [array("I", lm[:1]) * n if lm else lm for lm in left]  # e s_i = s_i
-    a = 1
-    while a < n:
-        f = first[a]
-        b = min(bisect_right(first, f, a, bisect_right(length, length[a], a)), a + (1 << 14))
-        lf, at_v = left[f], _gather(left[f][a:b])
-        for rm in right:
-            if rm:
-                rm[a:b] = array("I", _gather(at_v(rm))(lf))
-        inv[a:b] = array("I", _gather(at_v(inv))(right[f]))
-        a = b
-    return inv, tuple(right)
-
-
-# Whole-row bit kernels: a mask becomes one byte per bit, a row of bits is
-# read at many positions by one itemgetter, and 0/1 flags pack back into a
-# mask, each in a C-level call instead of one big-int operation per bit.
-_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bit_flags(mask: int, width: int) -> bytes:
-    """Byte k is bit k of mask (0 or 1), for every k < width."""
-    return format(mask, f"0{width}b").encode().translate(_TO_FLAGS)[::-1]
-
-
-def _gather(positions):
-    """A function giving the items of a sequence at positions, as a tuple.
-
-    positions must not be empty; for one position, itemgetter alone would
-    give the bare item."""
-    get = operator.itemgetter(*positions)
-    return (lambda seq: (get(seq),)) if len(positions) == 1 else get
-
-
-def _pack(flags) -> int:
-    """The mask with bit k set iff flags[k], for 0/1 (or bool) flags, at
-    least one."""
-    return int(bytes(flags)[::-1].translate(_TO_DIGITS), 2)
-
+from .pairs import _inverse_and_right, _level_search
+from .rootsys import (
+    DEFAULT_MAX_ELEMENTS,
+    CartanDatum,
+    RootSystem,
+    build_root_system,
+    check_ceiling,
+    letters_str,
+    memoized,
+    parse_letters,
+)
 
 class WeylElement:
     """A group element: its index in the group table, length and
@@ -530,51 +391,6 @@ def word_str(w: WeylElement) -> str:
     return letters_str(w.word)
 
 
-def letters_str(word: tuple[int, ...]) -> str:
-    """Serialize a tuple of letters as `word_str` does."""
-    return ",".join(map(str, word)) if word else "e"
-
-
 def parse_word(group: WeylGroup, text: str) -> WeylElement:
     """Parse a word string; non-reduced words are accepted and canonicalized."""
     return group.from_word(parse_letters(group.rank, text))
-
-
-def parse_letters(rank: int, text: str) -> tuple[int, ...]:
-    """The letters of a word string ("e" or empty for none), each checked to
-    lie in 1..rank."""
-    s = text.strip()
-    if s == "e" or s == "":
-        return ()
-    try:
-        letters = tuple(int(part) for part in s.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse word {text!r}: expected 'e' or comma-separated integers")
-    for i in letters:
-        if not 1 <= i <= rank:
-            raise ValueError(f"word letter {i} out of range 1..{rank}")
-    return letters
-
-
-def format_subset(subset) -> str:
-    """Serialize a simple-index subset as comma-separated sorted indices."""
-    return ",".join(str(j) for j in sorted(subset))
-
-
-def parse_subset(group_or_rank, text: str) -> frozenset[int]:
-    """Parse a comma-separated subset of simple indices; empty string allowed."""
-    rank = group_or_rank if isinstance(group_or_rank, int) else group_or_rank.rank
-    s = text.strip()
-    if not s:
-        return frozenset()
-    try:
-        parts = [int(p) for p in s.split(",")]
-    except ValueError:
-        raise ValueError(f"cannot parse subset {text!r}: expected comma-separated integers")
-    out = frozenset(parts)
-    for j in parts:
-        if not 1 <= j <= rank:
-            raise ValueError(f"subset index {j} out of range 1..{rank}")
-    if len(out) != len(parts):
-        raise ValueError(f"subset {text!r} contains duplicate indices")
-    return out

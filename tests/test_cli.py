@@ -337,22 +337,46 @@ def test_refusals_before_the_group_table(capsys, no_group_table, args, message):
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
-    import flagpieces.cli as cli
-    from flagpieces import pieces
+    from flagpieces import pairs, weyl
 
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     # pieces searches W_J and ^JW without a group table; the other commands
     # build the table
-    monkeypatch.setattr(pieces, "_level_search", exhausted)
-    monkeypatch.setattr(cli, "WeylGroup", exhausted)
+    monkeypatch.setattr(pairs, "_level_search", exhausted)
+    monkeypatch.setattr(weyl, "WeylGroup", exhausted)
     for command in ("pieces", "orbits"):
         code, out, err = run_cli(capsys, "--cartan", "E7", "--delta", "id", command)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: out of memory building E7 for the {command} command")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,args", [("poset", ()), ("closure", ("--w", "7")), ("verify", ())])
+def test_bruhat_table_over_physical_memory_exits_2(capsys, no_group_table, command, args):
+    # the E7 table is |W|^2 / 8 bytes, about 1 TB; E6 needs 336 MB
+    need = 2903040**2 // 8
+    if need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        pytest.skip("the E7 Bruhat table fits in physical memory here")
+    code, out, err = run_cli(capsys, "--cartan", "E7", "--delta", "id", "--j", "1,2,3,4,5,6", *args, command)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the {command} command needs the 981.1 GiB Bruhat table of E7, ")
+    assert err.endswith(" GiB of physical memory\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("spelling,label", [("A03", "A3"), (" E6", "E6"), ("E06", "E6")])
+def test_pieces_prints_the_canonical_label(capsys, spelling, label, fmt):
+    runs = [
+        run_cli(capsys, "--cartan", cartan, "--delta", "flip", "--j", "1", "--format", fmt, "pieces")
+        for cartan in (spelling, label)
+    ]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+    assert (f"# cartan={label} " if fmt == "text" else f'"cartan": "{label}"') in runs[0][1]
 
 
 @pytest.mark.parametrize("cartan,delta", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])

@@ -1,7 +1,9 @@
-"""The package imports only the standard library and itself, and the
-`pieces` command imports only the code it runs."""
+"""The package imports only the standard library and itself, a bare
+`import flagpieces` loads no submodule, and the `pieces` command imports only
+the code it runs: no group-table module."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -79,7 +81,7 @@ def _loaded_after(code: str) -> set[str]:
         (
             "from flagpieces.cli import main\n"
             "main(['--cartan', 'B3', '--delta', 'id', '--j', '1', 'pieces'])",
-            "flagpieces.pieces",
+            "flagpieces.pairs",
         ),
     ],
 )
@@ -99,3 +101,42 @@ def test_oracle_still_resolves_from_the_package():
         "assert set(flagpieces.__all__) <= set(ns)"
     )
     assert "flagpieces.oracle" in loaded
+
+
+def _flagpieces_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m == "flagpieces" or m.startswith("flagpieces.")}
+
+
+def test_bare_import_loads_no_submodule():
+    assert _flagpieces_modules(_loaded_after("import flagpieces")) == {"flagpieces"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pieces_loads_only_the_table_free_modules(fmt):
+    loaded = _loaded_after(
+        "from flagpieces.cli import main\n"
+        f"main(['--cartan', 'B3', '--delta', 'id', '--j', '1', '--format', '{fmt}', 'pieces'])"
+    )
+    assert _flagpieces_modules(loaded) == {
+        "flagpieces",
+        "flagpieces.cli",
+        "flagpieces.rootsys",
+        "flagpieces.pairs",
+    }
+
+
+def test_every_public_name_is_bound_to_its_definition():
+    # each name in __all__ resolves, and `from flagpieces import *` binds it
+    # to the object of the module that defines it, not to a re-export
+    ns = {}
+    exec("from flagpieces import *", ns)
+    assert set(flagpieces.__all__) <= set(ns)
+    for name in flagpieces.__all__:
+        obj = getattr(flagpieces, name)
+        assert ns[name] is obj, name
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"flagpieces.{flagpieces._HOMES[name]}")
+        assert obj is (home if home.__name__ == f"flagpieces.{name}" else vars(home)[name]), name
+        if callable(obj):
+            assert obj.__module__ == home.__name__, name

@@ -23,8 +23,7 @@ from flagpieces.oracle import (
     stabilizer_type_oracle,
     subsets_of,
 )
-from flagpieces.rootsys import CartanDatum
-from flagpieces.twist import DiagramAutomorphism
+from flagpieces.rootsys import CartanDatum, DiagramAutomorphism
 from flagpieces.weyl import WeylGroup
 
 

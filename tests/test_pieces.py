@@ -6,6 +6,7 @@ import pytest
 
 import flagpieces as fp
 from conftest import SCOPE
+from flagpieces import pairs
 from flagpieces import pieces as pieces_mod
 from flagpieces import word_str
 from flagpieces.oracle import (
@@ -32,7 +33,7 @@ from flagpieces.pieces import (
     twisted_leq,
     validate_sequence,
 )
-from flagpieces.weyl import _FIXED, _level_search
+from flagpieces.pairs import _FIXED, _level_search
 
 
 def test_sequence_empty_j_is_immediately_stable(tc_of):
@@ -520,18 +521,18 @@ def test_e6_pieces_create_few_elements():
     ],
 )
 def test_bit_flags_pack_round_trip(mask, width, flags):
-    assert list(pieces_mod._bit_flags(mask, width)) == flags
-    assert pieces_mod._pack(flags) == mask
-    assert pieces_mod._pack([bool(f) for f in flags]) == mask
+    assert list(pairs._bit_flags(mask, width)) == flags
+    assert pairs._pack(flags) == mask
+    assert pairs._pack([bool(f) for f in flags]) == mask
 
 
 def test_bit_kernels_gather():
-    flags = pieces_mod._bit_flags(0b100101, 6)
-    assert pieces_mod._gather([2])(flags) == (1,)  # one position: still a tuple
-    assert pieces_mod._gather([5, 0, 1])(flags) == (1, 1, 0)
-    assert pieces_mod._pack(pieces_mod._gather([1])(flags)) == 0
+    flags = pairs._bit_flags(0b100101, 6)
+    assert pairs._gather([2])(flags) == (1,)  # one position: still a tuple
+    assert pairs._gather([5, 0, 1])(flags) == (1, 1, 0)
+    assert pairs._pack(pairs._gather([1])(flags)) == 0
     # a mask wider than the width keeps its low bits in place
-    assert list(pieces_mod._bit_flags(0b1101, 2)[:2]) == [1, 0]
+    assert list(pairs._bit_flags(0b1101, 2)[:2]) == [1, 0]
 
 
 def _pairwise_partial_order(rows) -> str | None:
@@ -621,7 +622,7 @@ def test_piece_rows_match_piece_records(tc_of, label, delta_spec):
             (r.index_w.word, r.stabilizer_set, tuple(v.word for v in r.orbit_min), r.irreducible)
             for r in piece_records(tc, J)
         ]
-        rows = pieces_mod._piece_rows(tc.delta, J)
+        rows = pairs._piece_rows(tc.delta, J)
         assert [tuple(row) for row in rows] == expected, sorted(J)
         assert [len(row.word) for row in rows] == [r.index_w.length for r in piece_records(tc, J)]
 

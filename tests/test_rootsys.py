@@ -12,7 +12,7 @@ from flagpieces.rootsys import (
     root_system,
     standard_cartan_matrix,
 )
-from flagpieces.weyl import _weight_field
+from flagpieces.pairs import _weight_field
 
 SUPPORTED = [
     "A1", "A2", "A3", "A4", "A5",

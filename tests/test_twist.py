@@ -17,10 +17,9 @@ from flagpieces.oracle import (
     run_subset_checks,
     subsets_of,
 )
+from flagpieces.rootsys import AutomorphismError, DiagramAutomorphism
 from flagpieces.twist import (
     _UNSEEN,
-    AutomorphismError,
-    DiagramAutomorphism,
     _Parts,
     delta_on_element,
     simple_image,

@@ -17,7 +17,9 @@ from flagpieces.oracle import (
     check_length_additivity,
     subsets_of,
 )
-from flagpieces.weyl import GroupTooLargeError, WeylElement, _inverse_and_right, _level_search
+from flagpieces.pairs import _inverse_and_right, _level_search
+from flagpieces.rootsys import GroupTooLargeError
+from flagpieces.weyl import WeylElement
 
 
 def test_identity_and_involutions(group_of):
