@@ -27,7 +27,6 @@ _HOMES = {
     "DiagramAutomorphism": "rootsys",
     "WeylElement": "weyl",
     "WeylGroup": "weyl",
-    "parse_word": "weyl",
     "weyl_group": "weyl",
     "word_str": "weyl",
     "Reduction": "twist",
@@ -38,13 +37,11 @@ _HOMES = {
     "stable_support": "twist",
     "support": "twist",
     "ClosurePoset": "pieces",
-    "CriterionNotApplicable": "pieces",
     "PieceRecord": "pieces",
     "RootInclusionReport": "pieces",
     "SequenceError": "pieces",
     "TwistedSequence": "pieces",
     "closure_poset": "pieces",
-    "is_irreducible": "pieces",
     "parabolic_restriction_type": "pieces",
     "piece_closure": "pieces",
     "piece_records": "pieces",

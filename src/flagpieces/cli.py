@@ -421,8 +421,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
+        label = CartanDatum.from_label(cfg.cartan).label  # parsed before anything is built
         print(
-            f"error: out of memory building {cfg.cartan} for the {cfg.command} command; "
+            f"error: out of memory building {label} for the {cfg.command} command; "
             f"try a smaller type",
             file=sys.stderr,
         )

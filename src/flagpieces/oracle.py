@@ -33,6 +33,7 @@ import pickle
 import signal
 import sys
 from bisect import bisect_right
+from collections import Counter
 from functools import partial, reduce
 from operator import eq, or_, sub
 
@@ -104,13 +105,9 @@ def subsets_of(indices) -> list[frozenset[int]]:
 # -- Bruhat order ---------------------------------------------------------------
 
 
-def bruhat_oracle(u: WeylElement, v: WeylElement) -> bool:
-    """Subword test: u <= v iff some subsequence of a reduced word of v is u."""
-    return u in bruhat_lower_set_oracle(v)
-
-
 def bruhat_lower_set_oracle(v: WeylElement) -> set[WeylElement]:
-    """All products of subsequences of a reduced word of v: {u : u <= v}.
+    """Subword test: all products of subsequences of a reduced word of v,
+    which is {u : u <= v}.
 
     Built prefix by prefix: the products of subwords of a_1 ... a_m are those
     of a_1 ... a_{m-1}, each with and without a_m appended.
@@ -291,11 +288,6 @@ def positive_roots_oracle(datum: CartanDatum) -> set[tuple[int, ...]]:
 # -- irreducibility ----------------------------------------------------------------------
 
 
-def delta_stable_subsets(tc: TwistedConjugation) -> list[frozenset[int]]:
-    """All delta-stable subsets of the simple indices."""
-    return list(_stable_subsets(tc, tc.group.simple_indices))
-
-
 @memoized
 def _stable_subsets(tc: TwistedConjugation, I) -> tuple[frozenset[int], ...]:
     """The delta-stable subsets of I, scanned once per action."""
@@ -308,9 +300,7 @@ def irreducible_oracle(tc: TwistedConjugation, J, w: WeylElement) -> bool:
     full = frozenset(tc.group.simple_indices)
     K = tc.stabilizer_type(J, w.inverse())
     need = support(w) | K
-    return not any(
-        need <= S for S in delta_stable_subsets(tc) if S != full
-    )
+    return not any(need <= S for S in _stable_subsets(tc, full) if S != full)
 
 
 # -- check suite ------------------------------------------------------------------------
@@ -461,13 +451,19 @@ def check_parabolic_restriction(group: WeylGroup) -> OracleReport:
 
 
 def check_stabilizer_type(tc: TwistedConjugation, J) -> OracleReport:
+    """`tc.stabilizer_type` and the records' stabilizer sets vs the
+    all-subsets scan, per w in W^J."""
     rep = OracleReport("stabilizer-type")
+    printed = {r.inv_w: r.stabilizer_set for r in pieces_mod.piece_records(tc, J)}
     for w in tc.group.min_coset_reps(J, "right"):
         rep.instances_checked += 1
         fast = tc.stabilizer_type(J, w)
         slow = stabilizer_type_oracle(tc, J, w)
         if fast != slow:
             rep.record(f"J={sorted(J)} w={word_str(w)}", sorted(slow), sorted(fast))
+        got = printed.get(w, slow)  # a label without a record fails closure-agreement
+        if got != slow:
+            rep.record(f"J={sorted(J)} record of w={word_str(w)}", sorted(slow), sorted(got))
     return rep
 
 
@@ -670,7 +666,9 @@ def _check_partial_order(rows) -> None:
 
 def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
     """closure_poset vs the literal matrix, and each record's orbit minima vs
-    the literal ones (counted with its row); at J = empty, vs Bruhat order."""
+    the literal ones (counted with its row); at J = empty, vs Bruhat order.
+    The records must hold each label of ^JW once; otherwise each label held
+    another number of times is one failure, and no row is compared."""
     rep = OracleReport("closure-agreement")
     g = tc.group
     J = frozenset(J)
@@ -678,6 +676,14 @@ def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
     pos = {w: k for k, w in enumerate(reps)}
     poset = pieces_mod.closure_poset(tc, J)
     records = poset.records
+    held = Counter(r.inv_w for r in records)
+    if held != Counter(reps):
+        for w in dict.fromkeys([*reps, *held]):
+            rep.instances_checked += 1
+            if held[w] != (w in pos):
+                label = word_str(w.inverse())
+                rep.record(f"J={sorted(J)} records of label {label}", int(w in pos), held[w])
+        return rep
     n = len(records)
     words = [word_str(r.index_w) for r in records]
 
@@ -726,16 +732,18 @@ def check_root_inclusions(tc: TwistedConjugation, J) -> OracleReport:
 
 
 def check_irreducibility(tc: TwistedConjugation, J) -> OracleReport:
-    """Support criterion vs the stable-proper-subset containment oracle."""
+    """The records' irreducibility flags (the support criterion) vs the
+    stable-proper-subset containment oracle, per label w in ^JW."""
     rep = OracleReport("irreducibility")
     g = tc.group
     J = frozenset(J)
     if J == frozenset(g.simple_indices):
         return rep  # criterion not applicable; nothing to check
+    flags = {r.index_w: r.irreducible for r in pieces_mod.piece_records(tc, J)}
     for w in g.min_coset_reps(J, "left"):
         rep.instances_checked += 1
-        fast = pieces_mod.is_irreducible(tc, J, w)
         slow = irreducible_oracle(tc, J, w)
+        fast = flags.get(w, slow)  # a label without a record fails closure-agreement
         if fast != slow:
             rep.record(f"J={sorted(J)} w={word_str(w)}", slow, fast)
     return rep

@@ -8,8 +8,8 @@ the orbit's closed-form count: the orbit of rho gives W or a parabolic
 subgroup W_J (`weyl.WeylGroup` is built from it), and the orbit of lambda_J
 gives W^J. `_inverse_and_right` derives the inverses and right tables from
 the left ones. The bit kernels read and pack whole rows of bits in C-level
-calls, for `pieces.closure_poset` and the oracle. `_piece_rows` is what the
-`pieces` command prints.
+calls, for `pieces.closure_poset` and the oracle. `_piece_rows` gives the
+pieces that every command prints, and `verify` checks.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ class _PieceRow(NamedTuple):
 
 
 def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
-    """The pieces for J as `pieces.piece_records` gives them, without a group
-    table.
+    """The pieces for J, without a group table: what the `pieces` command
+    prints, and, read on a table, `pieces.piece_records`.
 
     Every element of W is one pair (y, x) standing for y x, with y in W^J and
     x in W_J, and l(y x) = l(y) + l(x); label b is represented by
@@ -176,11 +176,19 @@ def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
     (y, s_k x), and (y, x) s_j = (y, x s_j) for j in J.
 
     The (i, k) pairs of y are its simple images y(alpha_k) = alpha_i, which
-    give the stabilizer type. The orbit minima of y are its shift class
-    (`twist.TwistedConjugation.orbit_min`), each shift step two table steps. A
-    word is found by stripping the smallest left descent of (y, x): that of
+    give the stabilizer type. The orbit minima of y are its shift class, by
+    (i) and (ii) below: its class under the length-preserving steps
+    y -> s_d(j) y s_j, j in J, each two table steps.
+    A word is found by stripping the smallest left descent of (y, x): that of
     y, or a smaller i of an (i, k) pair with k a left descent of x. Labels
     and minima are sorted as the group orders elements: by length, then word.
+
+    (i) y is minimal in its twisted W_J-orbit: for x in W_J,
+    l(y x^-1) = l(y) + l(x) as y is in W^J, and l(d(x)) = l(x), so
+    l(d(x) y x^-1) >= l(y x^-1) - l(x) = l(y). (ii) The minima of an orbit
+    that meets W^J are one shift class. This is asserted, not proved: by
+    `oracle.check_strong_conjugacy`, and by `oracle.check_closure_agreement`
+    against the literal orbit minima.
     """
     rs = delta.root_system
     rank, J = rs.rank, frozenset(J)

@@ -6,9 +6,11 @@ stabilizing sequence (J_n, w_n), a stabilizer type, the minimal elements of
 its twisted orbit, an irreducibility flag, and a position in the closure
 poset given by the twisted partial order on minimal representatives.
 
-Everything here reads a group table. `piece_records` reads the labels off
-it; the `pieces` command prints the same data from `pairs._piece_rows`,
-computed in W^J x W_J without a table, and the tests compare the two.
+The records are what the `pieces` command prints: the rows of the pair
+engine `pairs._piece_rows`, computed in W^J x W_J without a group table,
+with each word read on the table. The closure poset, `twisted_leq` and
+`piece_closure` take a label's orbit minima from them, and `verify` checks
+them (`flagpieces.oracle`).
 """
 
 from __future__ import annotations
@@ -18,18 +20,14 @@ from itertools import compress
 from operator import or_
 from typing import NamedTuple
 
-from .pairs import _bit_flags, _gather, _pack
+from .pairs import _bit_flags, _gather, _pack, _piece_rows
 from .rootsys import memoized
-from .twist import TwistedConjugation, simple_image, stable_support
+from .twist import TwistedConjugation, simple_image
 from .weyl import WeylElement, WeylGroup
 
 
 class SequenceError(ValueError):
     """A stabilizing sequence violates one of its defining conditions."""
-
-
-class CriterionNotApplicable(ValueError):
-    """The irreducibility criterion does not apply (J = I)."""
 
 
 def simple_image_subset(w: WeylElement, subset) -> frozenset[int]:
@@ -119,18 +117,25 @@ def twisted_leq(tc: TwistedConjugation, J, w: WeylElement, w2: WeylElement) -> b
     For w2 in W^J: true iff for some (equivalently any) v' minimal in the
     twisted orbit of w2 there is a v minimal in the orbit of w with v <= v';
     v' is the first minimal element of that orbit. For general w2: true iff
-    some such v satisfies v <= w2 directly. `oracle.check_order_axioms`
-    checks that the choice of v' does not matter.
+    some such v satisfies v <= w2 directly. The minima are those of the
+    records (`_minima`); `oracle.check_order_axioms` checks that the choice
+    of v' does not matter.
     """
     g = tc.group
-    J = frozenset(J)
     if w.group is not g or w2.group is not g:
         raise ValueError("elements do not belong to this group")
-    if not g.is_min_left_rep(w, J):
+    minima = _minima(tc, J)
+    if w.index not in minima:
         raise ValueError(f"w = {w!r} is not a minimal coset representative for J={sorted(J)}")
-    up = _up_mask(g, tc.orbit_min(w, J))
-    target = tc.orbit_min(w2, J)[0] if g.is_min_left_rep(w2, J) else w2
-    return (up >> target.index) & 1 == 1
+    target = minima[w2.index][0] if w2.index in minima else w2
+    return (_up_mask(g, minima[w.index]) >> target.index) & 1 == 1
+
+
+@memoized
+def _minima(tc: TwistedConjugation, J) -> dict[int, tuple[WeylElement, ...]]:
+    """{index of y in W^J: the minimal elements of its orbit}, read off the
+    records; memoized per J in tc's `_memo`."""
+    return {rec.inv_w.index: rec.orbit_min for rec in piece_records(tc, J)}
 
 
 def _up_mask(g: WeylGroup, mins) -> int:
@@ -172,24 +177,17 @@ class ClosurePoset(NamedTuple):
         return (self.leq_rows[a] >> b) & 1 == 1
 
 
+@memoized
 def piece_records(tc: TwistedConjugation, J) -> tuple[PieceRecord, ...]:
-    """One record per element of ^JW, in the deterministic group order."""
-    g, delta = tc.group, tc.delta
-    J = frozenset(J)
-    full = frozenset(g.simple_indices)
+    """One record per element of ^JW, in the deterministic group order: the
+    rows of `pairs._piece_rows`, each word read on tc's group table.
+    Memoized per J in tc's `_memo`, so the engine runs once per (tc, J)."""
+    word = tc.group.from_word
     out = []
-    for b in g.min_coset_reps(J, "left"):
-        inv = b.inverse()
-        irr = None if J == full else (stable_support(b, delta) == full)
-        out.append(
-            PieceRecord(
-                index_w=b,
-                inv_w=inv,
-                stabilizer_set=tc.stabilizer_type(J, inv),
-                orbit_min=tc.orbit_min(inv, J),
-                irreducible=irr,
-            )
-        )
+    for row in _piece_rows(tc.delta, J):
+        b = word(row.word)
+        minima = tuple(map(word, row.orbit_min))
+        out.append(PieceRecord(b, b.inverse(), row.stabilizer_set, minima, row.irreducible))
     return tuple(out)
 
 
@@ -203,9 +201,9 @@ def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
     every b. `oracle.check_order_axioms` checks that every minimal element of
     that orbit gives the same bit and that the rows form a partial order. The
     covers of a are the b above a that lie above no other c strictly above
-    a: above(a) minus the OR of the strict rows of those c. The minima come
-    from `tc.orbit_min`, one shift class per label; no orbit partition of W
-    is built. Memoized per J in tc's `_memo`.
+    a: above(a) minus the OR of the strict rows of those c. The minima are
+    the records'; no orbit partition of W is built. Memoized per J in tc's
+    `_memo`.
     """
     g = tc.group
     records = piece_records(tc, J)
@@ -222,29 +220,10 @@ def closure_poset(tc: TwistedConjugation, J) -> ClosurePoset:
 
 def piece_closure(tc: TwistedConjugation, J, w: WeylElement) -> tuple[WeylElement, ...]:
     """Labels of the pieces inside the closure of the stratum attached to w."""
-    g = tc.group
     winv = w.inverse()
     return tuple(
-        b
-        for b in g.min_coset_reps(J, "left")
-        if twisted_leq(tc, J, b.inverse(), winv)
+        rec.index_w for rec in piece_records(tc, J) if twisted_leq(tc, J, rec.inv_w, winv)
     )
-
-
-def is_irreducible(tc: TwistedConjugation, J, w: WeylElement) -> bool:
-    """Whether the piece labeled by w (in ^JW) is irreducible.
-
-    True iff the smallest delta-stable set of simple indices containing the
-    support of w is everything. Requires J != I.
-    """
-    g = tc.group
-    J = frozenset(J)
-    full = frozenset(g.simple_indices)
-    if J == full:
-        raise CriterionNotApplicable("irreducibility criterion requires J != I")
-    if not g.is_min_right_rep(w, J):
-        raise ValueError(f"w = {w!r} is not in ^JW for J={sorted(J)}")
-    return stable_support(w, tc.delta) == full
 
 
 def parabolic_restriction_type(group: WeylGroup, J, K, w: WeylElement) -> frozenset[int]:

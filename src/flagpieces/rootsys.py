@@ -554,9 +554,8 @@ def format_subset(subset) -> str:
     return ",".join(str(j) for j in sorted(subset))
 
 
-def parse_subset(group_or_rank, text: str) -> frozenset[int]:
-    """Parse a comma-separated subset of simple indices; empty string allowed."""
-    rank = group_or_rank if isinstance(group_or_rank, int) else group_or_rank.rank
+def parse_subset(rank: int, text: str) -> frozenset[int]:
+    """Parse a comma-separated subset of 1..rank; empty string allowed."""
     s = text.strip()
     if not s:
         return frozenset()

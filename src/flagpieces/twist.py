@@ -17,10 +17,9 @@ of W_J. One class walks them all (`_Parts`): a part is walked on the first
 lookup of a member, kept as an ascending `array('I')` of element indices,
 and the part numbers are an `array('I')` indexed by element, so a partition
 of W makes no element objects. The orbit partition is walked whole, in
-increasing index order; the orbit minima of one y in W^J are the shift class
-of y alone (`orbit_min`), and strong-conjugacy parts are walked as they are
-looked up. A twisted orbit creates its member and minimal elements when they
-are read.
+increasing index order; shift classes and strong-conjugacy parts are walked
+as they are looked up. A twisted orbit creates its member and minimal
+elements when they are read.
 """
 
 from __future__ import annotations
@@ -80,13 +79,13 @@ class _Parts:
     the indices related to k.
 
     `parts[k]` is the number of k's part, numbered in the order parts are
-    walked; `part(k)` is that part as an ascending array('I'); `all()` walks
-    what is left and returns the parts ordered by smallest member. Walking
-    every index in increasing order, as `all()` does, numbers each part by
-    its position there. A walk runs under a lock, and a part counts as walked
-    once its array is stored: a thread that reads a number set by a walk
-    still running waits for it, and two threads that miss on one part do not
-    number it twice."""
+    walked, and `_parts[parts[k]]` is that part as an ascending array('I');
+    `all()` walks what is left and returns the parts ordered by smallest
+    member. Walking every index in increasing order, as `all()` does,
+    numbers each part by its position there. A walk runs under a lock, and a
+    part counts as walked once its array is stored: a thread that reads a
+    number set by a walk still running waits for it, and two threads that
+    miss on one part do not number it twice."""
 
     def __init__(self, n: int, neighbours):
         self._neighbours = neighbours
@@ -110,9 +109,6 @@ class _Parts:
                                 found.append(z)
                     self._parts.append(array("I", sorted(found)))
         return pid
-
-    def part(self, k: int) -> array:
-        return self._parts[self[k]]
 
     def all(self) -> list[array]:
         for k in range(len(self._part_of)):
@@ -167,8 +163,8 @@ class TwistedConjugation:
 
     Frozen inputs (group table and diagram automorphism) are shared; per-J
     results (orbit partitions, stabilizer types, shift digraphs and their
-    components, strong-conjugacy classes, distinguished forms, and
-    `pieces.closure_poset`) are memoized in this object's `_memo` dict by
+    components, strong-conjugacy classes, distinguished forms, and the
+    `pieces` records and posets) are memoized in this object's `_memo` dict by
     `rootsys.memoized`, so reuse one instance per (group, delta) pair.
     """
 
@@ -226,21 +222,6 @@ class TwistedConjugation:
         orbits, orbit_of = self.orbit_partition(J)
         return orbits[orbit_of[y.index]]
 
-    def orbit_min(self, y: WeylElement, J) -> tuple[WeylElement, ...]:
-        """Minimal elements of the twisted W_J-orbit of y in W^J, ascending by
-        index (for any other y, read `orbit(y, J).min_elements`): the shift
-        class of y, walked alone, so no orbit is walked whole.
-
-        (i) y is minimal: for x in W_J, l(y x^-1) = l(y) + l(x) as y is in W^J,
-        and l(d(x)) = l(x), so l(d(x) y x^-1) >= l(y x^-1) - l(x) = l(y).
-        (ii) The minima of an orbit that meets W^J are one shift class. This is
-        asserted, not proved: by `oracle.check_strong_conjugacy`, and by
-        `oracle.check_closure_agreement` against the literal orbit minima.
-        """
-        if not self.group.is_min_left_rep(y, J):
-            raise ValueError(f"y = {y!r} is not a minimal coset representative for J={sorted(J)}")
-        return tuple(map(self.group.elements.__getitem__, self._scc(J).part(y.index)))
-
     # -- stabilizer type -------------------------------------------------------
 
     @memoized
@@ -272,14 +253,6 @@ class TwistedConjugation:
         return tuple(out)
 
     # -- cyclic shift ------------------------------------------------------------
-
-    def shift_step(self, w: WeylElement, j: int, J) -> WeylElement | None:
-        """s_d(j) w s_j when its length is <= l(w); None otherwise."""
-        if j not in set(J):
-            raise ValueError(f"index {j} is not in J={sorted(J)}")
-        g = self.group
-        z = self.delta_apply(g.simple_reflection(j)) * w * g.simple_reflection(j)
-        return z if z.length <= w.length else None
 
     @memoized
     def _shift_adjacency(self, J) -> list[tuple[int, ...]]:

@@ -41,7 +41,6 @@ from .rootsys import (
     check_ceiling,
     letters_str,
     memoized,
-    parse_letters,
 )
 
 class WeylElement:
@@ -195,11 +194,6 @@ class WeylGroup:
         return self.elements[-1]
 
     # -- descents and coset representatives ----------------------------------
-
-    def sends_simple_positive(self, w: WeylElement, i: int) -> bool:
-        """Whether w(alpha_i) is a positive root, i.e. l(w s_i) > l(w)."""
-        # elements are ordered by length first, and l(w s_i) = l(w) +- 1
-        return self._rmul[i][w.index] > w.index
 
     def is_min_left_rep(self, w: WeylElement, subset) -> bool:
         """w in W^J: minimal in its coset w W_J."""
@@ -389,8 +383,3 @@ def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Weyl
 def word_str(w: WeylElement) -> str:
     """Serialize as comma-separated 1-based letters, "e" for the identity."""
     return letters_str(w.word)
-
-
-def parse_word(group: WeylGroup, text: str) -> WeylElement:
-    """Parse a word string; non-reduced words are accepted and canonicalized."""
-    return group.from_word(parse_letters(group.rank, text))

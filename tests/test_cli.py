@@ -230,7 +230,7 @@ def test_missing_cartan_exits_2(capsys):
 
 
 def test_words_in_output_reparse(capsys, group_of):
-    from flagpieces import parse_word
+    from flagpieces.rootsys import parse_letters
 
     g = group_of("B2")
     code, out, _ = run_cli(capsys, "--cartan", "B2", "--delta", "id", "--j", "2", "pieces")
@@ -238,7 +238,7 @@ def test_words_in_output_reparse(capsys, group_of):
     for line in out.splitlines():
         if line.startswith("w="):
             word = line.split()[0][2:]
-            parse_word(g, word)  # must not raise
+            g.from_word(parse_letters(g.rank, word))  # must not raise
 
 
 def test_repeat_runs_identical(capsys):
@@ -352,6 +352,18 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
         assert out == ""
         assert err.startswith(f"error: out of memory building E7 for the {command} command")
         assert err.count("\n") == 1
+
+
+def test_out_of_memory_names_the_canonical_label(capsys, monkeypatch):
+    from flagpieces import weyl
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(weyl, "WeylGroup", exhausted)
+    code, out, err = run_cli(capsys, "--cartan", "E07", "--delta", "id", "orbits")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory building E7 for the orbits command; try a smaller type\n"
 
 
 @pytest.mark.parametrize("command,args", [("poset", ()), ("closure", ("--w", "7")), ("verify", ())])

@@ -19,11 +19,9 @@ from flagpieces.oracle import (
     subsets_of,
 )
 from flagpieces.pieces import (
-    CriterionNotApplicable,
     SequenceError,
     TwistedSequence,
     closure_poset,
-    is_irreducible,
     parabolic_restriction_type,
     piece_closure,
     piece_records,
@@ -247,24 +245,26 @@ def test_piece_records_fields(tc_of):
     for r in records:
         assert r.index_w.inverse() == r.inv_w
         assert tc.group.is_min_left_rep(r.inv_w, {1})
-        assert r.orbit_min == tc.orbit_min(r.inv_w, {1})
+        assert r.orbit_min == tc.orbit(r.inv_w, {1}).min_elements
     # J = I: irreducibility flag not applicable
     for r in piece_records(tc, {1, 2}):
         assert r.irreducible is None
 
 
 def test_is_irreducible_examples(tc_of):
+    # the irreducibility flag of each record, by label in ^JW
+    def flags(tc, J):
+        return {r.index_w: r.irreducible for r in piece_records(tc, J)}
+
     g = tc_of("A2", "id").group
     tcf = tc_of("A2", "flip")
     tci = tc_of("A2", "id")
-    assert not is_irreducible(tci, {1}, g.identity)
-    assert is_irreducible(tcf, {1}, g.simple_reflection(2))
+    assert flags(tci, {1})[g.identity] is False
+    assert flags(tcf, {1})[g.simple_reflection(2)] is True
     tc3 = tc_of("A3", "id")
-    assert not is_irreducible(tc3, {1}, tc3.group.simple_reflection(2))
-    with pytest.raises(CriterionNotApplicable):
-        is_irreducible(tci, {1, 2}, g.identity)
-    with pytest.raises(ValueError, match="not in"):
-        is_irreducible(tci, {1}, g.simple_reflection(1))
+    assert flags(tc3, {1})[tc3.group.simple_reflection(2)] is False
+    assert set(flags(tci, {1, 2}).values()) == {None}  # J = I: not applicable
+    assert g.simple_reflection(1) not in flags(tci, {1})  # s1 is not in ^{1}W
 
 
 @pytest.mark.parametrize("label,spec", [("A2", "flip"), ("B2", "id"), ("A3", "flip")])
@@ -365,9 +365,9 @@ def test_twisted_leq_matches_pairwise_bruhat(tc_of, label, spec):
     g = tc.group
     for J in subsets_of(g.simple_indices):
         for w in g.min_coset_reps(J, "right"):
-            mins_w = tc.orbit_min(w, J)
+            mins_w = tc.orbit(w, J).min_elements
             for w2 in g.elements:
-                target = tc.orbit_min(w2, J)[0] if g.is_min_left_rep(w2, J) else w2
+                target = tc.orbit(w2, J).min_elements[0] if g.is_min_left_rep(w2, J) else w2
                 expected = any(g.bruhat_leq(v, target) for v in mins_w)
                 assert twisted_leq(tc, J, w, w2) == expected
 
@@ -398,6 +398,13 @@ def test_twisted_leq_rejects_foreign_elements(tc_of):
         twisted_leq(tc, set(), tc.group.identity, other.identity)
 
 
+def test_twisted_leq_rejects_an_element_outside_w_j(tc_of):
+    tc = tc_of("A3", "flip")
+    s1 = tc.group.simple_reflection(1)  # s1 s1 < s1, so s1 is not in W^{1}
+    with pytest.raises(ValueError, match="minimal coset representative"):
+        twisted_leq(tc, {1}, s1, s1)
+
+
 @pytest.mark.parametrize(
     "rows,message",
     [
@@ -419,22 +426,24 @@ def test_check_partial_order_rejects_broken_rows(tc_of, monkeypatch, rows, messa
     ]
 
 
+def _plant_s1_minima(monkeypatch):
+    # the engine gives the piece of s1 the minima (s1, s2)
+    real = pairs._piece_rows
+
+    def planted(delta, J):
+        rows = real(delta, J)
+        return tuple(r._replace(orbit_min=((1,), (2,))) if r.word == (1,) else r for r in rows)
+
+    monkeypatch.setattr(pieces_mod, "_piece_rows", planted)
+
+
 def test_closure_poset_verify_detects_representative_dependence(tc_of, monkeypatch):
     # give the A2 (J = {}) piece of s1 the minima (s1, s2): s2 <= s2 holds but
     # s2 <= s1 does not, so the order depends on the representative; a fresh
     # action, so that the doctored poset is not memoized for other tests
     base = tc_of("A2", "id")
     tc = fp.TwistedConjugation(base.group, base.delta)
-    s1, s2 = tc.group.simple_reflection(1), tc.group.simple_reflection(2)
-    real = piece_records
-
-    def doctored(tc_, J):
-        return tuple(
-            rec._replace(orbit_min=(s1, s2)) if rec.inv_w == s1 else rec
-            for rec in real(tc_, J)
-        )
-
-    monkeypatch.setattr(pieces_mod, "piece_records", doctored)
+    _plant_s1_minima(monkeypatch)
     closure_poset(tc, set())  # the fast path reads one representative only
     rep = check_order_axioms(tc, set())
     assert (rep.instances_checked, rep.failure_count) == (1, 1)
@@ -452,10 +461,7 @@ def test_twisted_leq_verify_detects_representative_dependence(tc_of, monkeypatch
     tc = fp.TwistedConjugation(base.group, base.delta)
     g = tc.group
     s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
-    real = tc.orbit_min
-    monkeypatch.setattr(
-        tc, "orbit_min", lambda y, J: (s1, s2) if y == s1 else real(y, J)
-    )
+    _plant_s1_minima(monkeypatch)
     assert not twisted_leq(tc, set(), s2, s1)  # read at the first minimum, s1
     rep = check_order_axioms(tc, set())
     assert rep.failure_count == 1
@@ -614,17 +620,24 @@ def test_check_partial_order_matches_pair_loop():
     "label,delta_spec", [(label, spec) for label, specs in SCOPE for spec in specs]
 )
 def test_piece_rows_match_piece_records(tc_of, label, delta_spec):
-    # the engine `pieces` prints from, which builds no group table, against
-    # the table path, for every subset J
+    # the records are the engine's rows, which build no group table, read on
+    # the table; they agree with the table's own stabilizer types, orbit
+    # minima and supports, for every subset J
     tc = tc_of(label, delta_spec)
-    for J in subsets_of(tc.group.simple_indices):
-        expected = [
-            (r.index_w.word, r.stabilizer_set, tuple(v.word for v in r.orbit_min), r.irreducible)
-            for r in piece_records(tc, J)
-        ]
+    g = tc.group
+    full = frozenset(g.simple_indices)
+    for J in subsets_of(g.simple_indices):
         rows = pairs._piece_rows(tc.delta, J)
-        assert [tuple(row) for row in rows] == expected, sorted(J)
-        assert [len(row.word) for row in rows] == [r.index_w.length for r in piece_records(tc, J)]
+        records = piece_records(tc, J)
+        assert [(r.index_w.word, tuple(v.word for v in r.orbit_min)) for r in records] == [
+            (row.word, row.orbit_min) for row in rows
+        ]
+        assert tuple(r.index_w for r in records) == g.min_coset_reps(J, "left")
+        for r in records:
+            assert r.inv_w == r.index_w.inverse()
+            assert r.stabilizer_set == tc.stabilizer_type(J, r.inv_w)
+            assert r.orbit_min == tc.orbit(r.inv_w, J).min_elements
+            assert r.irreducible == (None if J == full else fp.stable_support(r.index_w, tc.delta) == full)
 
 
 def test_level_search_labels_are_the_min_coset_reps(group_of):

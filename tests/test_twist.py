@@ -210,17 +210,19 @@ def test_class_partition_checks(tc_of):
 
 
 def test_shift_step_examples(group_of, tc_of):
+    # the shift steps w -> s_d(j) w s_j, j in J, that do not raise length
     g = group_of("A2")
     tc = tc_of("A2", "id")
-    s2 = g.simple_reflection(2)
-    assert tc.shift_step(g.identity, 1, {1}) == g.identity
-    assert tc.shift_step(g.from_word([1, 2, 1]), 1, {1, 2}) == s2
-    assert tc.shift_step(g.from_word([1, 2]), 1, {1, 2}) == g.from_word([2, 1])
-    with pytest.raises(ValueError, match="not in J"):
-        tc.shift_step(g.identity, 2, {1})
+
+    def steps(tc_, w, J):
+        return [word_str(g.elements[z]) for z in tc_._shift_adjacency(J)[w.index]]
+
+    assert steps(tc, g.identity, {1}) == ["e"]
+    assert steps(tc, g.from_word([1, 2, 1]), {1, 2}) == ["1", "2"]
+    assert steps(tc, g.from_word([1, 2]), {1, 2}) == ["2,1"]
     # pinned degenerate case: delta(j) != j at the identity has no edge
     tcf = tc_of("A2", "flip")
-    assert tcf.shift_step(g.identity, 1, {1}) is None
+    assert steps(tcf, g.identity, {1}) == []
 
 
 def test_reduce_to_distinguished_examples(group_of, tc_of):
@@ -489,7 +491,7 @@ def test_parts_walk_on_demand_and_match_union_find():
     rng.shuffle(order)
     parts = _Parts(n, lambda k: sorted(adj[k]))
     for k in order:
-        part = parts.part(k)
+        part = parts._parts[parts[k]]
         assert k in part and list(part) == sorted(set(part))
         assert {parts[m] for m in part} == {parts[k]}
     assert [tuple(p) for p in parts.all()] == expected
@@ -525,7 +527,7 @@ def test_parts_racing_lookups_agree():
     seen: list[list] = [[] for _ in orders]
 
     def look(order, out):
-        out.extend((k, tuple(parts.part(k)), parts[k]) for k in order)
+        out.extend((k, tuple(parts._parts[parts[k]]), parts[k]) for k in order)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -548,14 +550,14 @@ def test_parts_racing_lookups_agree():
 
 @pytest.mark.parametrize("label,spec", SCOPE_CONFIGS)
 def test_shift_classes_do_not_depend_on_orbit_min_first(group_of, label, spec):
-    # orbit_min walks single shift classes of the lazy partition that
+    # same_shift_class walks single shift classes of the lazy partition that
     # shift_classes then completes; the result is the same as walking it whole
     g = group_of(label)
     for J in subsets_of(g.simple_indices):
         cold = fp.TwistedConjugation(g, _delta(g, spec))
         warm = fp.TwistedConjugation(g, _delta(g, spec))
         for y in g.min_coset_reps(J, "right"):
-            assert y in warm.orbit_min(y, J)
+            assert warm.same_shift_class(y, y, J)
         assert warm.shift_classes(J) == cold.shift_classes(J), sorted(J)
 
 
@@ -671,16 +673,12 @@ def test_equal_orbits_hash_alike(group_of):
     ],
 )
 def test_orbit_min_of_a_label_is_its_orbit_minima(tc_of, label, spec, subsets):
-    # the shift-class walk against the minima of the whole orbit partition
+    # the engine's shift-class walk, read on the table as the records,
+    # against the minima of the whole orbit partition
     tc = tc_of(label, spec)
     g = tc.group
     for J in subsets or subsets_of(g.simple_indices):
-        for y in g.min_coset_reps(J, "right"):
-            assert tc.orbit_min(y, J) == tc.orbit(y, J).min_elements, (sorted(J), y)
-
-
-def test_orbit_min_rejects_an_element_outside_w_j(tc_of):
-    tc = tc_of("A3", "flip")
-    s1 = tc.group.simple_reflection(1)  # s1 s1 < s1, so s1 is not in W^{1}
-    with pytest.raises(ValueError, match="minimal coset representative"):
-        tc.orbit_min(s1, {1})
+        records = fp.piece_records(tc, J)
+        assert tuple(r.index_w for r in records) == g.min_coset_reps(J, "left")
+        for r in records:
+            assert r.orbit_min == tc.orbit(r.inv_w, J).min_elements, (sorted(J), r.inv_w)

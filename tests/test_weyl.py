@@ -10,7 +10,8 @@ import pytest
 from conftest import SCOPE, root_perm
 
 import flagpieces as fp
-from flagpieces import parse_word, weyl_group, word_str
+from flagpieces import weyl_group, word_str
+from flagpieces.rootsys import parse_letters
 from flagpieces.oracle import (
     check_bruhat_agreement,
     check_coset_minimality,
@@ -384,6 +385,11 @@ def test_parabolic_sweeps_match_products(group_of, label):
             assert g._sweep(J, y.index, right=g._rmul) == [(y * xi).index for xi in inverses]
 
 
+def parse_word(g, text):
+    # how the CLI reads --w
+    return g.from_word(parse_letters(g.rank, text))
+
+
 def test_word_round_trip(group_of):
     g = group_of("A3")
     for w in g.elements:
@@ -407,12 +413,12 @@ def test_parse_word_rejects_garbage(group_of):
 
 def test_parse_subset(group_of):
     g = group_of("A3")
-    assert fp.parse_subset(g, "") == frozenset()
-    assert fp.parse_subset(g, "1,3") == frozenset({1, 3})
+    assert fp.parse_subset(g.rank, "") == frozenset()
+    assert fp.parse_subset(g.rank, "1,3") == frozenset({1, 3})
     with pytest.raises(ValueError):
-        fp.parse_subset(g, "0")
+        fp.parse_subset(g.rank, "0")
     with pytest.raises(ValueError):
-        fp.parse_subset(g, "1,1")
+        fp.parse_subset(g.rank, "1,1")
 
 
 def test_deterministic_element_order(group_of):
@@ -457,7 +463,7 @@ def test_root_queries_match_permutation(group_of, label):
             inv[img] = r
         assert tuple(w.root_image(r) for r in range(n_roots)) == p
         for i, sr in zip(g.simple_indices, simple):
-            assert g.sends_simple_positive(w, i) == rs.is_positive_index(p[sr])
+            assert g.is_min_left_rep(w, {i}) == rs.is_positive_index(p[sr])
             assert g.is_min_right_rep(w, {i}) == rs.is_positive_index(inv[sr])
     # t_beta(alpha_r) = alpha_r - <alpha_r, beta^vee> beta
     by_perm = {root_perm(w): w for w in g.elements}
