@@ -1,9 +1,9 @@
 """Command-line front end: pieces, poset, orbits, sequence, closure, verify.
 
 Exit codes: 0 on success, 1 when the verify suite finds a failure, 2 on bad
-configuration, when memory runs out or would (the |W|^2 Bruhat table of
-`poset`, `closure` and `verify` is refused when it exceeds physical memory),
-or when a verify worker process dies. All output is deterministic for a fixed
+configuration, when memory runs out or would (the group table, and the |W|^2
+Bruhat table of `poset`, `closure` and `verify`, are refused when they exceed
+physical memory), or when a verify worker process dies. All output is deterministic for a fixed
 configuration. A command imports only what it runs: `pieces` only `rootsys`
 and `pairs`; the others, once their arguments are checked, the group-table
 modules `weyl` and `twist`, and `pieces` where they read it; `oracle` only
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--j",
         default="",
-        help="comma-separated subset of simple indices (empty for the full flag variety)",
+        help="comma-separated subset of simple indices (empty or - for the full flag variety)",
     )
     p.add_argument("--w", default=None, help="word: comma-separated letters, or e")
     p.add_argument("--format", default="text", choices=FORMATS)
@@ -103,16 +103,19 @@ def _build_context(cfg: argparse.Namespace) -> Context:
         raise ConfigError(f"the {cfg.command} command requires --w")
     if cfg.format == "dot" and cfg.command != "poset":
         raise ConfigError("format 'dot' is only available for the poset command")
-    if cfg.command in ("poset", "closure", "verify"):  # they build the |W|^2-bit Bruhat table
-        need = datum.weyl_group_order**2 // 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ConfigError(
-                f"the {cfg.command} command needs the {need / 2**30:.1f} GiB Bruhat table "
-                f"of {datum.label}, more than the {have / 2**30:.1f} GiB of physical memory"
-            )
     if cfg.command == "pieces":  # enumerates W_J and ^JW, not W
         return Context(cfg, delta, J, None, None, None)
+    # each table is refused before it is built when it exceeds physical memory
+    need = {"group": datum.weyl_group_order * rs.rank * 4}  # 4 bytes per element and letter
+    if cfg.command in ("poset", "closure", "verify"):
+        need["Bruhat"] = datum.weyl_group_order**2 // 8  # |W|^2 bits
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for table, size in need.items():
+        if size > have:
+            raise ConfigError(
+                f"the {cfg.command} command needs the {size / 2**30:.1f} GiB {table} table "
+                f"of {datum.label}, more than the {have / 2**30:.1f} GiB of physical memory"
+            )
     from .twist import TwistedConjugation
     from .weyl import WeylGroup
 

@@ -451,6 +451,7 @@ class DiagramAutomorphism:
                         f"a[{images[i]}][{images[j]}] != a[{i+1}][{j+1}]"
                     )
         self.images = images
+        self._image_of = (0,) + images  # by 1-based index
         self.spec = spec if spec is not None else ",".join(str(i) for i in images)
 
     @classmethod
@@ -494,7 +495,7 @@ class DiagramAutomorphism:
 
     def subset(self, J) -> frozenset[int]:
         """Image of a subset of simple indices."""
-        return frozenset(self.images[j - 1] for j in J)
+        return frozenset(map(self._image_of.__getitem__, J))
 
     def __repr__(self) -> str:
         return f"DiagramAutomorphism({self.root_system.datum.label}, {self.spec})"
@@ -555,9 +556,10 @@ def format_subset(subset) -> str:
 
 
 def parse_subset(rank: int, text: str) -> frozenset[int]:
-    """Parse a comma-separated subset of 1..rank; empty string allowed."""
+    """Parse a comma-separated subset of 1..rank; the empty set is an empty
+    string or "-", as output prints it."""
     s = text.strip()
-    if not s:
+    if s in ("", "-"):
         return frozenset()
     try:
         parts = [int(p) for p in s.split(",")]

@@ -312,31 +312,39 @@ class TwistedConjugation:
         # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
         # length additivity over to the reverse step.
         # Per element w, one sweep of the W_J tree (as in WeylGroup._sweep)
-        # gives d(x) w, w x^-1 and d(x) w x^-1 for every x in W_J, each from
-        # its parent's values. A part is walked when one of its members is
-        # first looked up: a step keeps the length and stays in the orbit, so
-        # the part of an orbit minimum holds only minima of that orbit, and
-        # `oracle.check_strong_conjugacy`, which looks up only minima, walks
-        # nothing else.
+        # gives d(x) w, w x^-1 and d(x) w x^-1 for x in W_J, each from its
+        # parent's values. With x = s_f x' (x' the parent, one shorter),
+        # d(x) w is length-additive iff d(x') w is and the step by s_d(f)
+        # raises it, and likewise w x^-1 with the step by s_f; so the sweep
+        # keeps each while it is additive (None after), and skips the subtree
+        # below an x where neither is. A part is walked when one of its
+        # members is first looked up: a step keeps the length and stays in
+        # the orbit, so the part of an orbit minimum holds only minima of
+        # that orbit, and `oracle.check_strong_conjugacy`, which looks up only
+        # minima, walks nothing else.
         g = self.group
         dl, rmul, length = self._dlmul, g._rmul, g._length
-        lxs = [x.length for x in g.parabolic_elements(J)]
         steps = g._parabolic_tree(J)[1:]
 
         def twists(k: int) -> list[int]:
-            dxw, wxi, z = [k], [k], [k]
-            for p, f in steps:
-                left, right = dl[f], rmul[f]
-                dxw.append(left[dxw[p]])
-                wxi.append(right[wxi[p]])
-                z.append(right[left[z[p]]])
+            # the z = d(x) w x^-1 that keep the length, where d(x) w or
+            # w x^-1 is length-additive
             lw = length[k]
-            # length-preserving, and d(x) w or w x^-1 is length-additive
-            return [
-                v
-                for v, a, b, lx in zip(z, dxw, wxi, lxs)
-                if length[v] == lw and lw + lx in (length[a], length[b])
-            ]
+            dxw, wxi, z, out = [k], [k], [k], [k]
+            for p, f in steps:
+                a, b, v = dxw[p], wxi[p], None
+                if a is not None:
+                    a = up if (up := dl[f][a]) > a else None
+                if b is not None:
+                    b = up if (up := rmul[f][b]) > b else None
+                if a is not None or b is not None:
+                    v = rmul[f][dl[f][z[p]]]
+                    if length[v] == lw:
+                        out.append(v)
+                dxw.append(a)
+                wxi.append(b)
+                z.append(v)
+            return out
 
         return _Parts(g.order, twists)
 
@@ -365,15 +373,13 @@ class TwistedConjugation:
         returned path lists (j, element reached) for each step taken.
         """
         J = frozenset(J)
-        elems, length = self.group.elements, self.group._length
-        moves = list(zip(sorted(J), self._twist_steps(J)))
-        start = w.index
-        parents: dict[int, tuple[int, int]] = {}
-        seen = {start}
-        heap: list[tuple[int, int, int]] = [(w.length, 0, start)]
-        counter = 1
-        while heap:
-            _, _, uidx = heapq.heappop(heap)
+        g = self.group
+        elems, length, dl, rmul = g.elements, g._length, self._dlmul, g._rmul
+        letters = sorted(J)
+        start = uidx = w.index
+        parents: dict[int, tuple[int, int] | None] = {start: None}  # reached: (parent, j)
+        heap: list[tuple[int, int, int]] = []  # (length, order reached, index)
+        while True:  # w first, then the heap's least
             form = self._distinguished_form(J, uidx)
             if form is not None:
                 label, tail = form
@@ -384,14 +390,15 @@ class TwistedConjugation:
                     steps.append((j, elems[idx]))
                     idx = pidx
                 return Reduction(label, tail, tuple(reversed(steps)))
-            for j, (dl, r) in moves:
-                z = r[dl[uidx]]
-                zlen = length[z]
-                if zlen <= length[uidx] and z not in seen:
-                    seen.add(z)
+            ulen = length[uidx]
+            for j in letters:
+                z = rmul[j][dl[j][uidx]]
+                if z not in parents and length[z] <= ulen:
                     parents[z] = (uidx, j)
-                    heapq.heappush(heap, (zlen, counter, z))
-                    counter += 1
+                    heapq.heappush(heap, (length[z], len(parents), z))
+            if not heap:
+                break
+            uidx = heapq.heappop(heap)[2]
         raise RuntimeError(
             "internal error: no distinguished product is shift-reachable from "
             f"{w!r} for J={sorted(J)}; this contradicts a proven property"

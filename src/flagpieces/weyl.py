@@ -198,12 +198,18 @@ class WeylGroup:
     def is_min_left_rep(self, w: WeylElement, subset) -> bool:
         """w in W^J: minimal in its coset w W_J."""
         rmul, x = self._rmul, w.index
-        return all(rmul[j][x] > x for j in subset)
+        for j in subset:
+            if rmul[j][x] < x:
+                return False
+        return True
 
     def is_min_right_rep(self, w: WeylElement, subset) -> bool:
         """w in ^JW: minimal in its coset W_J w."""
         lmul, x = self._lmul, w.index
-        return all(lmul[j][x] > x for j in subset)
+        for j in subset:
+            if lmul[j][x] < x:
+                return False
+        return True
 
     def min_coset_rep(self, w: WeylElement, subset, side: str = "right") -> WeylElement:
         """Minimal element of w W_J (side="right") or W_J w (side="left");

@@ -379,6 +379,55 @@ def test_bruhat_table_over_physical_memory_exits_2(capsys, no_group_table, comma
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["orbits", "sequence", "verify"])
+def test_group_table_over_physical_memory_exits_2(capsys, monkeypatch, no_group_table, command):
+    # 20,480 bytes of physical memory: the B4 group table (384 x 4 x 4 bytes)
+    # and its Bruhat table (384^2 / 8) fit, the D5 group table (1920 x 5 x 4)
+    # does not; at 4,096 bytes the B4 group table does not either
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 5}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    code, out, err = run_cli(capsys, "--cartan", "D5", "--w", "e", command)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the {command} command needs the 0.0 GiB group table of D5, "
+        "more than the 0.0 GiB of physical memory\n"
+    )
+    sizes["SC_PHYS_PAGES"] = 1
+    code, out, err = run_cli(capsys, "--cartan", "B4", "--w", "e", command)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: the {command} command needs the 0.0 GiB group table of B4, ")
+
+
+def test_e8_group_table_over_physical_memory_exits_2(capsys, no_group_table):
+    # a raised ceiling lets E8 past check_ceiling; its group table is
+    # 696,729,600 x 8 x 4 bytes, about 21 GB, and is refused before it is built
+    if 696729600 * 8 * 4 <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        pytest.skip("the E8 group table fits in physical memory here")
+    code, out, err = run_cli(capsys, "--cartan", "E8", "--max-elements", "700000000", "orbits")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the orbits command needs the 20.8 GiB group table of E8, ")
+    assert err.count("\n") == 1
+
+
+def test_group_table_within_physical_memory_is_built(capsys, monkeypatch):
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 5}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    code, out, err = run_cli(capsys, "--cartan", "B4", "orbits")
+    assert (code, err) == (0, "")
+    assert out.startswith("# cartan=B4 delta=id J=- orbits=384\n")
+
+
+@pytest.mark.parametrize("command,fmt", [("pieces", "text"), ("poset", "json"), ("orbits", "text")])
+def test_dash_is_the_empty_subset(capsys, command, fmt):
+    # headers print an empty J as J=-, and --j reads it back
+    runs = [
+        run_cli(capsys, "--cartan", "A3", "--delta", "flip", "--j", j, "--format", fmt, command)
+        for j in ("-", "", " - ")
+    ]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("spelling,label", [("A03", "A3"), (" E6", "E6"), ("E06", "E6")])
 def test_pieces_prints_the_canonical_label(capsys, spelling, label, fmt):

@@ -5,7 +5,8 @@ Each entry pins the sha256 of stdout for one in-process ``cli.main`` run:
 ``conftest.SCOPE`` at J = {} and J = {1}, ``orbits`` also at J = every simple
 index (where shift classes are not single elements, so their order shows),
 plus ``verify`` and ``verify --format json`` for A3 flip and D4 tri. A changed digest means the
-command's output changed.
+command's output changed. ``verify`` on B4 id, outside that scope, is pinned
+on its own: it is the command of the ``b4-verify`` benchmark workload.
 """
 
 import contextlib
@@ -150,3 +151,11 @@ def test_golden_cli(key):
         args += ["--j", j]
     args += command.split()
     assert _digest(args) == (0, GOLDEN[key])
+
+
+# the stdout digest that perfbench/golden.json records for b4-verify
+B4_VERIFY = "fc4141cf27c0b25a51c695de908db2cabd0cf29ec60aed8a8304e7d4f85afde2"
+
+
+def test_golden_b4_verify():
+    assert _digest(["--cartan", "B4", "--delta", "id", "verify"]) == (0, B4_VERIFY)

@@ -67,10 +67,10 @@ def test_bruhat_oracle_matches_fast_path(group_of):
             assert (u in lower) == g.bruhat_leq(u, v)
 
 
-def test_bruhat_oracle_word_cap(group_of):
-    g = group_of("F4")  # longest element has 24 letters
-    with pytest.raises(ValueError, match="refusing"):
-        bruhat_lower_set_oracle(g.longest_element)
+def test_bruhat_oracle_longest_element_of_f4_is_all_of_w(group_of):
+    # 24 letters: the scan keeps one set per prefix, so it is not exponential
+    g = group_of("F4")
+    assert bruhat_lower_set_oracle(g.longest_element) == set(g.elements)
 
 
 def test_bruhat_lower_set(group_of):
@@ -277,6 +277,70 @@ def test_closure_matrix_oracle_rejects_some_any_disagreement():
         closure_matrix_oracle(tc, {1})
 
 
+@pytest.mark.parametrize("flipped", [1, 2], ids=["lead", "later"])
+def test_closure_agreement_fails_a_reach_bit_flipped_at_one_of_two_minima(flipped):
+    # as above, with the bit cleared at the orbit's first minimum s1 (the
+    # lead every later minimum is compared with) or at the later one, s2:
+    # one failure either way, carrying the some/any message
+    g = fp.weyl_group("A2")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    reach = list(g._bruhat_up_reach)
+    reach[0] &= ~(1 << g.simple_reflection(flipped).index)
+    g.__dict__["_bruhat_up_reach"] = tuple(reach)
+    rep = oracle._run_guarded("closure-agreement", check_closure_agreement, tc, frozenset({1}))
+    assert (rep.instances_checked, rep.failure_count) == (1, 1)
+    assert rep.failures == [
+        ("some/any disagree for w=W[e], w2=W[2], J=[1]", "no assertion failure", "AssertionError")
+    ]
+
+
+def _prefix_count_matrix(tc, J, reps, minima):
+    """The closure matrix by the prefix-count definition: per row, the count
+    of the minima of each orbit that lie above some minimum of the row's
+    orbit; "some" is a count above 0, "every" a count equal to the number of
+    minima, and the two must agree."""
+    g = tc.group
+    reach = g._bruhat_up_reach
+    matrix = []
+    for mins in minima:
+        up = 0
+        for v in mins:
+            up |= reach[v]
+        counts = [sum((up >> v) & 1 for v in m) for m in minima]
+        some = [c > 0 for c in counts]
+        every = [c == len(m) for c, m in zip(counts, minima)]
+        assert some == every, sorted(J)
+        matrix.append(every)
+    return matrix
+
+
+@pytest.mark.parametrize("label,spec", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])
+def test_kernels_equal_their_plain_definitions(tc_of, label, spec):
+    # per J: the byte-row closure matrix is the prefix-count one; a class
+    # literal, the union of orbits skipping starts already in it, is the
+    # double loop over W_K x W_J; and the double cosets of the sequence
+    # enumeration, unions of cosets built the same way, are {a w b}
+    tc = tc_of(label, spec)
+    g = tc.group
+    for J in subsets_of(g.simple_indices):
+        reps, matrix, minima = closure_matrix_oracle(tc, J)
+        assert matrix == _prefix_count_matrix(tc, J, reps, minima)
+        xs = g.parabolic_elements(J)
+        for cls in tc.class_decomposition(J):
+            bases = g._sweep(cls.stabilizer_set, cls.base.index, right=g._rmul)
+            plain = {
+                tc.twisted_conjugate(x, cls.base * v, J).index
+                for v in g.parabolic_elements(cls.stabilizer_set)
+                for x in xs
+            }
+            assert oracle._sweep_union(g, J, bases, tc._dlmul, g._rmul) == plain
+        dJ = tc.delta.subset(J)
+        for w in g.min_double_coset_reps(J, dJ):
+            lefts = g._sweep(J, w.index, left=g._lmul)
+            plain = {(a * w * b).index for a in xs for b in g.parabolic_elements(dJ)}
+            assert oracle._sweep_union(g, dJ, lefts, right=g._rmul) == plain
+
+
 def test_class_partition_records_planted_overlap(group_of, monkeypatch):
     # a fresh A2 action at J = {1} whose orbit {s1s2, s2s1} is replaced by the
     # orbit {e}: the class of s1s2 then shares e with the class of e, and
@@ -312,6 +376,132 @@ def test_parabolic_restriction_records_planted_j1(group_of, monkeypatch):
     assert rep.failure_count == 1
     assert rep.failures == [("J=[1] K=[1] w=e", "Phi_J1 = Phi_J ^ w1 Phi_K", "J1=[]")]
     assert rep.instances_checked == 4 * 13  # every K, and (J, w) with w in ^JW
+
+
+def test_class_partition_records_a_member_moved_to_another_class(group_of, monkeypatch):
+    # A2 at J = {1} has the classes {e, s1}, {s2, s1s2s1} and {s1s2, s2s1};
+    # moving s1s2s1 to the third class leaves every element covered once,
+    # and each of the two classes differs from its literal recomputation
+    g = group_of("A2")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    J = frozenset({1})
+    classes = tc.class_decomposition(J)
+    assert [[word_str(m) for m in c.members] for c in classes[1:]] == [["2", "1,2,1"], ["1,2", "2,1"]]
+    moved = classes[1].members[1]
+    planted = (
+        classes[0],
+        classes[1]._replace(members=classes[1].members[:1]),
+        classes[2]._replace(members=classes[2].members + (moved,)),
+    )
+    monkeypatch.setattr(tc, "class_decomposition", lambda J_: planted)
+    rep = check_class_partition(tc, J)
+    assert (rep.instances_checked, rep.failure_count) == (3, 2)
+    assert rep.failures == [
+        ("J=[1] base=2", "2 members (literal)", "1 members"),
+        ("J=[1] base=1,2", "2 members (literal)", "3 members"),
+    ]
+
+
+def test_shift_reduction_records_a_broken_path(group_of, monkeypatch):
+    # A3 flip at J = {1}: s1 shifts to s3 by the step j = 1; a path that
+    # claims s2 instead is one failure, and the other 23 elements pass
+    g = group_of("A3")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    J = frozenset({1})
+    s1, s2, s3 = (g.simple_reflection(i) for i in (1, 2, 3))
+    real = tc.reduce_to_distinguished
+
+    def planted(w, J_):
+        red = real(w, J_)
+        return red._replace(path=((1, s2),)) if w == s1 else red
+
+    assert real(s1, J).path == ((1, s3),)
+    monkeypatch.setattr(tc, "reduce_to_distinguished", planted)
+    rep = oracle.check_shift_reduction(tc, J)
+    assert (rep.instances_checked, rep.failure_count) == (24, 1)
+    assert rep.failures == [("J=[1] w=1", "valid shift path", "broken path")]
+
+
+def test_sequence_bijection_records_a_wrong_step(group_of, monkeypatch):
+    # A3 flip at J = {1, 3}: the sequence of s2 is ({1,3}, s2), ({}, s2);
+    # a recipe that ends at ({}, s2s1) instead has other steps than the
+    # enumerated sequence, and its stable pair is not its last step
+    g = group_of("A3")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    J = frozenset({1, 3})
+    s2 = g.simple_reflection(2)
+    real = oracle.sequence_for
+
+    def planted(tc_, J_, w):
+        seq = real(tc_, J_, w)
+        if w != s2:
+            return seq
+        return seq._replace(steps=seq.steps[:1] + ((frozenset(), g.from_word([2, 1])),))
+
+    assert [(sorted(Jn), word_str(wn)) for Jn, wn in real(tc, J, s2).steps] == [([1, 3], "2"), ([], "2")]
+    monkeypatch.setattr(oracle, "sequence_for", planted)
+    rep = oracle.check_sequence_bijection(tc, J)
+    n = len(g.min_coset_reps(J, "right"))
+    assert (rep.instances_checked, rep.failure_count) == (2 * n, 2)
+    assert rep.failures == [
+        ("J=[1, 3] w=2", "recipe sequence = enumerated sequence", "different steps"),
+        ("J=[1, 3] w=2", "valid recipe sequence", "stable pair does not match the final step"),
+    ]
+
+
+def test_parabolic_restriction_records_a_wrong_type_at_every_j(group_of, monkeypatch):
+    # at K = {2} and w = e, J1 is J & {2}; a fast path that returns J | {2}
+    # there is wrong exactly where J is not {2}: J = {}, {1} and {1, 2}
+    g = group_of("A2")
+    real = oracle.parabolic_restriction_type
+
+    def planted(group, J, K, w):
+        if (K, w) == ({2}, g.identity):
+            return frozenset(J) | {2}
+        return real(group, J, K, w)
+
+    monkeypatch.setattr(oracle, "parabolic_restriction_type", planted)
+    rep = check_parabolic_restriction(g)
+    assert (rep.instances_checked, rep.failure_count) == (4 * 13, 3)
+    assert rep.failures == [
+        ("J=[] K=[2] w=e", "Phi_J1 = Phi_J ^ w1 Phi_K", "J1=[2]"),
+        ("J=[1] K=[2] w=e", "Phi_J1 = Phi_J ^ w1 Phi_K", "J1=[1, 2]"),
+        ("J=[1, 2] K=[2] w=e", "Phi_J1 = Phi_J ^ w1 Phi_K", "J1=[1, 2]"),
+    ]
+
+
+def test_orbit_minimality_records_a_wrong_minimum_count(group_of, monkeypatch):
+    # A2 at J = {1}: the orbit {s2, s1s2s1} has the one minimum s2; orbits
+    # that claim s1s2s1 as a second minimum fail once, and the others pass
+    g = group_of("A2")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "id"))
+    J = frozenset({1})
+    orbits, orbit_of = tc.orbit_partition(J)
+    assert [word_str(m) for m in orbits[2].members] == ["2", "1,2,1"] and orbits[2].n_min == 1
+    planted = orbits[:2] + (orbits[2]._replace(n_min=2),) + orbits[3:]
+    monkeypatch.setattr(tc, "orbit_partition", lambda J_: (planted, orbit_of))
+    rep = oracle.check_orbit_minimality(tc, J)
+    assert (rep.instances_checked, rep.failure_count) == (4, 1)
+    assert rep.failures == [("J=[1] orbit of 2", "['1,2,1', '2']", "['2']")]
+
+
+@pytest.mark.parametrize("parts,sign", [("_strong_components", "~"), ("_scc", "~~")])
+def test_strong_conjugacy_records_a_minimum_split_off(group_of, monkeypatch, parts, sign):
+    # A2 flip at J = {1}: the orbit {s1, s2} has both as minima and meets
+    # W^J (at s2); a partition that puts s1 in a part of its own fails the
+    # pairs (s1, s2) and (s2, s1), and no other pair
+    g = group_of("A2")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    J = frozenset({1})
+    orbits, _ = tc.orbit_partition(J)
+    real = getattr(tc, parts)(J)
+    planted = {k: real[k] for k in range(g.order)}
+    planted[g.simple_reflection(1).index] = -1
+    monkeypatch.setattr(tc, parts, lambda J_: planted)
+    rep = oracle.check_strong_conjugacy(tc, J)
+    assert rep.instances_checked == sum(o.n_min**2 for o in orbits)
+    assert rep.failures == [(f"J=[1] 1 {sign} 2", "True", "False"), (f"J=[1] 2 {sign} 1", "True", "False")]
+    assert rep.failure_count == 2
 
 
 def test_sequence_bijection_counts_a_truncated_recipe(tc_of, monkeypatch):

@@ -218,16 +218,15 @@ def _plant_bruhat_faults(g, monkeypatch, pairs) -> None:
     monkeypatch.setitem(g.__dict__, "_bruhat_up_reach", tuple(reach))
 
 
-@pytest.mark.parametrize("label,instances", [("B3", 2_304), ("F4", 1_292_544)])
+@pytest.mark.parametrize("label,instances", [("B3", 2_304), ("F4", 1_327_104)])
 def test_bruhat_check_reports_each_planted_fault(group_of, monkeypatch, label, instances):
-    # k flipped bits at v within the word cap: exactly k failures, each
-    # naming its pair, and the same instance count as a clean table
+    # k flipped bits: exactly k failures, each naming its pair, and the same
+    # instance count (every pair (u, v)) as a clean table
     g = group_of(label)
-    capped = [v for v in range(g.order) if g._length[v] <= 20]
     rng = random.Random(label)
-    pairs = {(rng.randrange(g.order), rng.choice(capped)) for _ in range(5)}
+    pairs = {(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(5)}
     # two faults in one column: the identity is below every v
-    pairs |= {(0, capped[-1]), (g.order - 1, capped[-1])}
+    pairs |= {(0, g.order - 1), (g.order - 1, g.order - 1)}
     truth = {(u, v): g.bruhat_leq(g.elements[u], g.elements[v]) for u, v in pairs}
     _plant_bruhat_faults(g, monkeypatch, pairs)
     report = check_bruhat_agreement(g)
@@ -243,16 +242,16 @@ def test_bruhat_check_reports_each_planted_fault(group_of, monkeypatch, label, i
     )
 
 
-def test_bruhat_check_skips_a_fault_beyond_the_word_cap(group_of, monkeypatch):
-    # the subword oracle refuses v longer than 20 letters, so a fault there
-    # goes unseen; F4 has 30 elements that long
+def test_bruhat_check_counts_a_fault_at_the_longest_element(group_of, monkeypatch):
+    # F4's longest element has 24 letters; the subword oracle scans it like
+    # any other v, so a fault in its column is one failure
     g = group_of("F4")
-    assert g.longest_element.length > 20
-    _plant_bruhat_faults(g, monkeypatch, [(0, g.longest_element.index)])
-    assert not g.bruhat_leq(g.identity, g.longest_element)
+    w0 = g.longest_element
+    _plant_bruhat_faults(g, monkeypatch, [(0, w0.index)])
+    assert not g.bruhat_leq(g.identity, w0)
     report = check_bruhat_agreement(g)
-    assert report.passed
-    assert report.instances_checked == 1_292_544
+    assert (report.instances_checked, report.failure_count) == (1_327_104, 1)
+    assert report.failures == [(f"u=e vs v={word_str(w0)}", "1", "0")]
 
 
 def test_bruhat_covers_are_length_one_steps(group_of):
