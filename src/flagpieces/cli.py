@@ -6,9 +6,9 @@ Bruhat table of `poset`, `closure` and `verify`, are refused when they exceed
 physical memory), or when a verify worker process dies. All output is deterministic for a fixed
 configuration. A command imports only what it runs: `pieces` only `rootsys`
 and `pairs`; the others, once their arguments are checked, the group-table
-modules `weyl` and `twist`, and `pieces` where they read it; `oracle` only
-verify, and `json` only --format json. Headers and payloads name the type by
-its canonical label.
+modules `weyl` (`sequence` checks --w with it first) and `twist`, and
+`pieces` where they read it; `oracle` only verify, and `json` only --format
+json. Headers and payloads name the type by its canonical label.
 """
 
 from __future__ import annotations
@@ -103,6 +103,15 @@ def _build_context(cfg: argparse.Namespace) -> Context:
         raise ConfigError(f"the {cfg.command} command requires --w")
     if cfg.format == "dot" and cfg.command != "poset":
         raise ConfigError("format 'dot' is only available for the poset command")
+    if cfg.command == "sequence":
+        from .weyl import is_min_left_word, reduced_word  # no group table
+
+        if not is_min_left_word(rs, letters, J):
+            raise ConfigError(
+                f"precondition violated: w = {letters_str(reduced_word(rs, letters))} is not "
+                f"a minimal coset representative for J = {{{format_subset(J)}}} "
+                "(w must lie in W^J)"
+            )
     if cfg.command == "pieces":  # enumerates W_J and ^JW, not W
         return Context(cfg, delta, J, None, None, None)
     # each table is refused before it is built when it exceeds physical memory
@@ -121,11 +130,6 @@ def _build_context(cfg: argparse.Namespace) -> Context:
 
     group = WeylGroup(rs, cfg.max_elements)
     w = group.from_word(letters) if letters is not None else None
-    if cfg.command == "sequence" and not group.is_min_left_rep(w, J):
-        raise ConfigError(
-            f"precondition violated: w = {letters_str(w.word)} is not a minimal coset "
-            f"representative for J = {{{format_subset(J)}}} (w must lie in W^J)"
-        )
     return Context(cfg, delta, J, group, TwistedConjugation(group, delta), w)
 
 

@@ -4,9 +4,9 @@ Roots are integer coefficient vectors over the simple roots alpha_1..alpha_n
 (Bourbaki numbering, 1-based; see README for the labeling of each family).
 The Cartan matrix convention is a[i][j] = <alpha_j, alpha_i^vee>, so row i
 drives the simple reflection: s_i(beta) = beta - <beta, alpha_i^vee> alpha_i.
-A Cartan datum is validated in integers: an integer symmetrizer, and
-Sylvester's criterion by fraction-free (Bareiss) elimination. Only the
-`symmetrizer`, `bilinear` and `coroot_pairing` accessors use `Fraction`.
+A Cartan datum is a family and a rank; its matrix is the Bourbaki matrix of
+that type (`standard_cartan_matrix`). Only the `symmetrizer`, `bilinear` and
+`coroot_pairing` accessors use `Fraction`.
 
 Also here is what needs a root system but no group table: the element
 ceiling (`check_ceiling`), diagram automorphisms and their stable subsets,
@@ -107,12 +107,20 @@ def standard_cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...
 
 
 class CartanDatum:
-    """A simple finite type: family letter, rank, and its Cartan matrix;
-    validated on construction, equal and hashed by those three fields."""
+    """A simple finite type: family letter and rank, with the Bourbaki Cartan
+    matrix of that type; equal and hashed by (family, rank)."""
 
-    def __init__(self, family: str, rank: int, cartan_matrix: tuple[tuple[int, ...], ...]):
-        self.family, self.rank, self.cartan_matrix = self._key = family, rank, cartan_matrix
-        _validate_datum(self)
+    def __init__(self, family: str, rank: int):
+        if family not in FAMILIES:
+            raise CartanError(f"unsupported family {family!r}; expected one of {FAMILIES}")
+        if not isinstance(rank, int) or rank < 1:
+            raise CartanError(f"rank must be a positive integer, got {rank}")
+        lo, hi = _RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
+            bound = f"{lo} <= n <= {hi}" if hi is not None else f"n >= {lo}"
+            raise CartanError(f"rank {rank} out of range for family {family}: need {bound}")
+        self.family, self.rank = self._key = family, rank
+        self.cartan_matrix = standard_cartan_matrix(family, rank)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CartanDatum) and self._key == other._key
@@ -121,16 +129,7 @@ class CartanDatum:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        return "CartanDatum(family={!r}, rank={!r}, cartan_matrix={!r})".format(*self._key)
-
-    @classmethod
-    def from_family(cls, family: str, rank: int) -> CartanDatum:
-        if family not in FAMILIES:
-            raise CartanError(
-                f"unsupported family {family!r}; expected one of {FAMILIES}"
-            )
-        _check_rank_bounds(family, rank)
-        return cls(family, rank, standard_cartan_matrix(family, rank))
+        return "CartanDatum(family={!r}, rank={!r})".format(*self._key)
 
     @classmethod
     def from_label(cls, label: str) -> CartanDatum:
@@ -138,7 +137,7 @@ class CartanDatum:
         m = _LABEL_RE.match(label.strip())
         if m is None:
             raise CartanError(f"cannot parse Cartan label {label!r} (expected e.g. 'B3')")
-        return cls.from_family(m.group(1), int(m.group(2)))
+        return cls(m.group(1), int(m.group(2)))
 
     @property
     def label(self) -> str:
@@ -194,58 +193,9 @@ def check_ceiling(datum: CartanDatum, max_elements: int) -> None:
         )
 
 
-def _check_rank_bounds(family: str, rank: int) -> None:
-    lo, hi = _RANK_BOUNDS[family]
-    if rank < lo or (hi is not None and rank > hi):
-        bound = f"{lo} <= n <= {hi}" if hi is not None else f"n >= {lo}"
-        raise CartanError(f"rank {rank} out of range for family {family}: need {bound}")
-
-
-def _validate_datum(datum: CartanDatum) -> None:
-    family, rank, a = datum.family, datum.rank, datum.cartan_matrix
-    if family not in FAMILIES:
-        raise CartanError(f"unsupported family {family!r}; expected one of {FAMILIES}")
-    if rank < 1:
-        raise CartanError(f"rank must be a positive integer, got {rank}")
-    _check_rank_bounds(family, rank)
-    if len(a) != rank or any(len(row) != rank for row in a):
-        raise CartanError(f"cartan matrix must be {rank}x{rank}")
-    for i in range(rank):
-        for j in range(rank):
-            if not isinstance(a[i][j], int):
-                raise CartanError(f"cartan matrix entry a[{i+1}][{j+1}] must be an integer")
-            if i == j and a[i][j] != 2:
-                raise CartanError(f"diagonal entry a[{i+1}][{i+1}] must equal 2")
-            if i != j and a[i][j] > 0:
-                raise CartanError(
-                    f"off-diagonal entry a[{i+1}][{j+1}] must be <= 0, got {a[i][j]}"
-                )
-            if i != j and (a[i][j] == 0) != (a[j][i] == 0):
-                raise CartanError(
-                    f"zero pattern must be symmetric: a[{i+1}][{j+1}] vs a[{j+1}][{i+1}]"
-                )
-    d = _symmetrizer(a)  # 0 off the component of node 1
-    if 0 in d:
-        raise CartanError(
-            "Dynkin diagram must be connected (reducible types are unsupported)"
-        )
-    # symmetrizability (consistency over cycles) and finite type
-    b = [[d[i] * a[i][j] for j in range(rank)] for i in range(rank)]
-    if any(b[i][j] != b[j][i] for i in range(rank) for j in range(i)):
-        raise CartanError("cartan matrix is not symmetrizable")
-    if not _is_positive_definite(b):
-        raise CartanError(
-            "cartan matrix is not of finite type (symmetrization not positive definite)"
-        )
-    if a != standard_cartan_matrix(family, rank):
-        raise CartanError(
-            f"cartan matrix does not match the Bourbaki matrix of type {family}{rank}"
-        )
-
-
 def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Positive integers d with d_i a[i][j] = d_j a[j][i] along a spanning
-    tree of the component of node 1 (d is 0 off it): all d are scaled by
+    """Positive integers d with d_i a[i][j] = d_j a[j][i], set along a
+    spanning tree of the (connected) diagram from node 1: all d are scaled by
     |a[j][i]| whenever d_i a[i][j] / a[j][i] is not an integer."""
     d = [1] + [0] * (len(a) - 1)
     stack = [0]
@@ -260,22 +210,6 @@ def _symmetrizer(a: tuple[tuple[int, ...], ...]) -> list[int]:
                 d[j] = num // den
                 stack.append(j)
     return d
-
-
-def _is_positive_definite(b: list[list[int]]) -> bool:
-    """Sylvester's criterion on an integer symmetric matrix: every leading
-    principal minor is positive. Bareiss elimination keeps every entry an
-    integer, and at step k the pivot m[k][k] is the minor of order k + 1."""
-    m = [row[:] for row in b]
-    n, prev = len(m), 1
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return True
 
 
 class Root(NamedTuple):

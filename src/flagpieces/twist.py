@@ -356,15 +356,22 @@ class TwistedConjugation:
     # -- reduction to distinguished form -----------------------------------------
 
     @memoized
-    def _distinguished_form(self, J: frozenset[int], uidx: int):
-        """(label, tail) if u = label * tail, label in W^J and tail in W_K, for
-        u the element of index uidx; else None."""
-        u = self.group.elements[uidx]
-        label = self.group.min_coset_rep(u, J, "right")
-        tail = label.inverse() * u
-        if set(tail.word) <= self.stabilizer_type(J, label):
-            return label, tail
-        return None
+    def _distinguished_forms(self, J: frozenset[int]) -> dict[int, tuple[int, int]]:
+        """{u: (label, tail)} on element indices, for each u = label * tail
+        with label in W^J and tail in W_K, K the stabilizer type of the label.
+        The label is the minimum of u W_J, so u has at most one such form."""
+        g = self.group
+        rmul = g._rmul
+        tails: dict[frozenset[int], list[int]] = {}  # per K: x^-1 for x in W_K
+        forms: dict[int, tuple[int, int]] = {}
+        for y in g.min_coset_reps(J, "right"):
+            K = self.stabilizer_type(J, y)
+            if K not in tails:
+                tails[K] = g._sweep(K, 0, right=rmul)
+            # the sweep from y gives u = y x^-1, in the order of the tails
+            for u, t in zip(g._sweep(K, y.index, right=rmul), tails[K]):
+                forms[u] = (y.index, t)
+        return forms
 
     def reduce_to_distinguished(self, w: WeylElement, J) -> Reduction:
         """Shift w down to some label * tail with the tail in the stabilizer type.
@@ -379,10 +386,11 @@ class TwistedConjugation:
         start = uidx = w.index
         parents: dict[int, tuple[int, int] | None] = {start: None}  # reached: (parent, j)
         heap: list[tuple[int, int, int]] = []  # (length, order reached, index)
+        forms = self._distinguished_forms(J)
         while True:  # w first, then the heap's least
-            form = self._distinguished_form(J, uidx)
+            form = forms.get(uidx)
             if form is not None:
-                label, tail = form
+                label, tail = map(elems.__getitem__, form)
                 steps = []
                 idx = uidx
                 while idx != start:

@@ -22,7 +22,9 @@ left descent, so a product by every element of W_J takes one table step per
 element (`_sweep`). Root images walk a reduced word through the simple
 reflections of the root system. The Bruhat covering digraph and its
 reachability closure are built on demand; the closure is the one Bruhat
-table, a bitmask per element u of the v with u <= v.
+table, a bitmask per element u of the v with u <= v. Two functions read a
+word with no group table, on the root system alone: whether its product lies
+in W^J (`is_min_left_word`) and its reduced word (`reduced_word`).
 """
 
 from __future__ import annotations
@@ -87,10 +89,7 @@ class WeylElement:
 
     def root_image(self, r: int) -> int:
         """Index of w(alpha_r)."""
-        table = self.group.root_system.simple_reflection_table
-        for i in reversed(self.word):
-            r = table[i - 1][r]
-        return r
+        return _root_image(self.group.root_system, self.word, r)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -389,3 +388,49 @@ def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Weyl
 def word_str(w: WeylElement) -> str:
     """Serialize as comma-separated 1-based letters, "e" for the identity."""
     return letters_str(w.word)
+
+
+# -- words without a group table ---------------------------------------------
+
+
+def _root_image(root_system: RootSystem, letters, r: int) -> int:
+    """Index of w(alpha_r) for w the product of the letters, in order."""
+    table = root_system.simple_reflection_table
+    for i in reversed(letters):
+        r = table[i - 1][r]
+    return r
+
+
+def is_min_left_word(root_system: RootSystem, letters, subset) -> bool:
+    """Whether the product w of the letters lies in W^J: w(alpha_j) > 0 for
+    every j in J."""
+    return all(
+        root_system.is_positive_index(
+            _root_image(root_system, letters, root_system.simple_root_index(j))
+        )
+        for j in subset
+    )
+
+
+def reduced_word(root_system: RootSystem, letters) -> tuple[int, ...]:
+    """The word `WeylElement.word` gives the product w of the letters.
+
+    i is a left descent of w iff <w(rho), alpha_i^vee> < 0, so stripping the
+    smallest one from w(rho), in fundamental-weight coordinates, until it is
+    rho again reads off the lexicographically smallest reduced word."""
+    a, rank = root_system.datum.cartan_matrix, root_system.rank
+    lam = [1] * rank  # rho
+
+    def reflect(i: int) -> None:
+        # s_i subtracts lam_i alpha_i, whose coordinates are column i of a
+        li = lam[i - 1]
+        for j in range(rank):
+            lam[j] -= li * a[j][i - 1]
+
+    for i in reversed(letters):
+        reflect(i)
+    word = []
+    while (i := next((j for j, c in enumerate(lam, 1) if c < 0), 0)):
+        word.append(i)
+        reflect(i)
+    return tuple(word)

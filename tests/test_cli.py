@@ -328,12 +328,35 @@ _REFUSALS_BEFORE_THE_TABLE = [
         (("--format", "dot", command), "format 'dot' is only available for the poset command")
         for command in ("orbits", "verify")
     ]
-    + [((command,), f"the {command} command requires --w") for command in ("sequence", "closure")],
+    + [((command,), f"the {command} command requires --w") for command in ("sequence", "closure")]
+    + [
+        (
+            ("--j", "1,2,3,4,5,6", "--w", "1", "sequence"),
+            "precondition violated: w = 1 is not a minimal coset representative "
+            "for J = {1,2,3,4,5,6} (w must lie in W^J)",
+        )
+    ],
 )
 def test_refusals_before_the_group_table(capsys, no_group_table, args, message):
     # an argument error needs no group table, so E7 refuses it at once
     code, out, err = run_cli(capsys, "--cartan", "E7", *args)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "delta,j,w,printed",
+    [("flip", "1,3", "3,2,1,1,2,3,2,1", "2,1"), ("id", "2", "1,2,1,2,1,3,2", "2,3,2")],
+)
+def test_sequence_refusal_prints_the_reduced_word(capsys, no_group_table, delta, j, w, printed):
+    # w is read on the root system: a word that is not reduced prints as the
+    # lexicographically smallest reduced word of its product, as the
+    # WeylElement of the group table would
+    code, out, err = run_cli(capsys, "--cartan", "A3", "--delta", delta, "--j", j, "sequence", "--w", w)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: precondition violated: w = {printed} is not a minimal coset "
+        f"representative for J = {{{j}}} (w must lie in W^J)\n"
+    )
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
@@ -517,6 +540,29 @@ def test_verify_subprocess_matches_in_process(capsys, verify_workers, cartan, de
     )
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--cartan", "A3", "--delta", "flip", "--j", "1", "pieces"),
+        ("--cartan", "A2", "--delta", "id", "verify"),
+        ("--cartan", "A3", "--j", "9", "pieces"),
+    ],
+)
+def test_entry_point_matches_in_process(capsys, args):
+    # `python -m flagpieces` runs cli.main, then skips the exit-time collection
+    expected = run_cli(capsys, *args)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagpieces", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert expected[0] == (2 if "9" in args else 0)
 
 
 # verify on A4 with W = 2, where every per-J job sleeps 2 s and, in the

@@ -422,6 +422,28 @@ def test_shift_reduction_records_a_broken_path(group_of, monkeypatch):
     assert rep.failures == [("J=[1] w=1", "valid shift path", "broken path")]
 
 
+def test_shift_reduction_records_a_wrong_distinguished_form(group_of, monkeypatch):
+    # A3 flip at J = {1}: the table gives e the form e * e; planted as e * s1,
+    # the tail leaves the stabilizer type (empty) and the path ends at e, not
+    # at s1. e and s1 s3, which shifts to e by the step j = 1, reduce to it:
+    # two failures each, and the other 22 elements pass
+    g = group_of("A3")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    J = frozenset({1})
+    s1 = g.simple_reflection(1)
+    forms = dict(tc._distinguished_forms(J))
+    assert forms[0] == (0, 0)
+    forms[0] = (0, s1.index)
+    monkeypatch.setattr(tc, "_distinguished_forms", lambda J_: forms)
+    rep = oracle.check_shift_reduction(tc, J)
+    assert (rep.instances_checked, rep.failure_count) == (24, 4)
+    assert rep.failures == [
+        (f"J=[1] w={w}", expected, got)
+        for w in ("e", "1,3")
+        for expected, got in (("tail in stabilizer parabolic", "1"), ("valid shift path", "broken path"))
+    ]
+
+
 def test_sequence_bijection_records_a_wrong_step(group_of, monkeypatch):
     # A3 flip at J = {1, 3}: the sequence of s2 is ({1,3}, s2), ({}, s2);
     # a recipe that ends at ({}, s2s1) instead has other steps than the

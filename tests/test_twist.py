@@ -632,22 +632,23 @@ def test_stabilizer_type_memo_stores_no_failed_call(group_of):
     assert tc._memo == {}
 
 
-def test_distinguished_form_memoizes_none(group_of, monkeypatch):
-    g = group_of("A2")
-    tc = fp.TwistedConjugation(g, _delta(g, "flip"))
-    calls = []
-    real = tc.stabilizer_type
-
-    def counting(J, w):
-        calls.append((J, w))
-        return real(J, w)
-
-    monkeypatch.setattr(tc, "stabilizer_type", counting)
-    # s_1 = e * s_1, and the stabilizer type of e for J = {1} under the flip is empty
-    s1 = g.simple_reflection(1)
-    assert tc._distinguished_form({1}, s1.index) is None
-    assert tc._distinguished_form([1], s1.index) is None
-    assert calls == [(frozenset({1}), g.identity)]
+@pytest.mark.parametrize("label,spec", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])
+def test_distinguished_forms_match_their_definition(tc_of, label, spec):
+    # per J, the table swept from W^J against the per-element definition: u
+    # has a form iff u = label * tail, label = min(u W_J), with the tail's
+    # support inside the label's stabilizer type
+    tc = tc_of(label, spec)
+    g = tc.group
+    for J in subsets_of(g.simple_indices):
+        expected = {}
+        for u in g.elements:
+            y = g.min_coset_rep(u, J, "right")
+            tail = y.inverse() * u
+            if set(tail.word) <= tc.stabilizer_type(J, y):
+                expected[u.index] = (y.index, tail.index)
+        forms = tc._distinguished_forms(J)
+        assert forms == expected, sorted(J)
+        assert tc._distinguished_forms(sorted(J)) is forms
 
 
 def test_equal_orbits_hash_alike(group_of):
