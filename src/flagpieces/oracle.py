@@ -104,18 +104,12 @@ def subsets_of(indices) -> list[frozenset[int]]:
 # -- Bruhat order ---------------------------------------------------------------
 
 
-def bruhat_lower_set_oracle(v: WeylElement) -> set[WeylElement]:
-    """Subword test: all products of subsequences of a reduced word of v,
-    which is {u : u <= v}."""
-    g = v.group
-    return {g.elements[x] for x in _subword_products(g, v.word)}
-
-
 def _subword_products(g: WeylGroup, word) -> set[int]:
     """Indices of the products of the subwords of word, built prefix by
     prefix: those of a_1 ... a_m are those of a_1 ... a_{m-1}, each with and
     without a_m appended. Each step is one set, at most |W| wide, so the
-    scan is linear in the word's length, not exponential."""
+    scan is linear in the word's length, not exponential. For a reduced
+    word of v these are the u <= v (the subword property)."""
     products = {g.identity.index}
     for letter in word:
         rmul = g._rmul[letter]
@@ -124,11 +118,6 @@ def _subword_products(g: WeylGroup, word) -> set[int]:
 
 
 # -- stabilizer types -------------------------------------------------------------
-
-
-def stabilizer_type_oracle(tc: TwistedConjugation, J, w: WeylElement) -> frozenset[int]:
-    """Scan every subset K of J for w({alpha_K}) = {alpha_d(K)}; return the max."""
-    return _stabilizer_scan(w, _subset_images(tc, J))
 
 
 def _subset_images(tc: TwistedConjugation, J) -> dict[frozenset[int], frozenset[int]]:
@@ -140,7 +129,8 @@ def _subset_images(tc: TwistedConjugation, J) -> dict[frozenset[int], frozenset[
 
 
 def _stabilizer_scan(w: WeylElement, images: dict[frozenset[int], frozenset[int]]) -> frozenset[int]:
-    """The all-subsets scan over images = `_subset_images(tc, J)`, which
+    """Scan every subset K of J for w({alpha_K}) = {alpha_d(K)} and return
+    the largest, over images = `_subset_images(tc, J)`, which
     `check_stabilizer_type` makes once per J. Per k in J, image[k] is the j
     with w(alpha_k) = alpha_j, or None when w(alpha_k) is not a simple root
     (and so in no d(K))."""
@@ -537,7 +527,7 @@ def check_strong_conjugacy(tc: TwistedConjugation, J) -> OracleReport:
     """Minimal orbit elements are pairwise strongly conjugate; and in the same
     shift class whenever the orbit meets W^J. Each pair compares the part
     numbers of its two elements in the strong-conjugacy and shift-class
-    partitions (`strongly_conjugate`, `same_shift_class`), read once per
+    partitions (`tc._strong_components(J)`, `tc._scc(J)`), read once per
     element."""
     rep = OracleReport("strong-conjugacy")
     g = tc.group
@@ -567,12 +557,9 @@ def check_shift_reduction(tc: TwistedConjugation, J) -> OracleReport:
     g = tc.group
     J = frozenset(J)
     length = g._length
-    # per j, the step y -> d(s_j) y s_j as two tables: the left table of the
-    # simple reflection d(s_j) and the right table of s_j
-    shifts = {
-        j: (g._lmul[tc.delta_apply(g.simple_reflection(j)).word[0]], g._rmul[j])
-        for j in g.simple_indices
-    }
+    # per simple j, in J or not, the step y -> d(s_j) y s_j as two tables:
+    # the left table of d(s_j) = s_d(j) and the right table of s_j
+    shifts = {j: (g._lmul[tc.delta(j)], g._rmul[j]) for j in g.simple_indices}
     stab: dict[int, frozenset[int]] = {}  # per label in W^J, by index: its stabilizer type
     for w in g.elements:
         rep.instances_checked += 1
@@ -704,8 +691,10 @@ def _check_partial_order(rows) -> None:
 def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
     """closure_poset vs the literal matrix, and each record's orbit minima vs
     the literal ones (counted with its row); at J = empty, vs Bruhat order.
-    The records must hold each label of ^JW once; otherwise each label held
-    another number of times is one failure, and no row is compared."""
+    The Hasse edges are compared with the covers of the literal matrix, one
+    failure per differing pair, counted with the rows. The records must hold
+    each label of ^JW once; otherwise each label held another number of
+    times is one failure, and no row is compared."""
     rep = OracleReport("closure-agreement")
     g = tc.group
     J = frozenset(J)
@@ -732,17 +721,24 @@ def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
             rep.record(describe(ib), (expected >> ib) & 1 == 1, poset.leq(ia, ib))
 
     at_cols = _gather([pos[r.inv_w] for r in records])
+    rows = [_pack(at_cols(matrix[pos[r.inv_w]])) for r in records]
     for ia, ra in enumerate(records):
-        compare_row(
-            ia,
-            _pack(at_cols(matrix[pos[ra.inv_w]])),
-            lambda ib: f"J={sorted(J)} {words[ia]} <= {words[ib]}",
-        )
+        compare_row(ia, rows[ia], lambda ib: f"J={sorted(J)} {words[ia]} <= {words[ib]}")
         literal = minima[pos[ra.inv_w]]
         if tuple(v.index for v in ra.orbit_min) != literal:
             expected = [word_str(g.elements[k]) for k in literal]
             got = [word_str(v) for v in ra.orbit_min]
             rep.record(f"J={sorted(J)} orbit minima of {words[ia]}^-1", expected, got)
+    # the covers of a: the b above a and above no other c strictly above a
+    strict = [row & ~(1 << a) for a, row in enumerate(rows)]
+    edges = [0] * n
+    for a, b in poset.hasse_edges:
+        edges[a] |= 1 << b
+    for ia, above in enumerate(strict):
+        covers = above & ~reduce(or_, itertools.compress(strict, _bit_flags(above, n)), 0)
+        for ib in _bits(covers ^ edges[ia]):
+            got = (edges[ia] >> ib) & 1 == 1
+            rep.record(f"J={sorted(J)} {words[ib]} covers {words[ia]}", not got, got)
     if not J:
         reach = g._bruhat_up_reach
         idx = [r.index_w.index for r in records]

@@ -273,9 +273,6 @@ class RootSystem:
     def is_positive_index(self, r: int) -> bool:
         return r < self.n_positive
 
-    def neg_index(self, r: int) -> int:
-        return (r + self.n_positive) % (2 * self.n_positive)
-
     def reflect(self, i: int, r: int) -> int:
         """Root index of s_i(alpha_r); i is 1-based."""
         if not 1 <= i <= self.rank:

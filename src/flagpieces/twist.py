@@ -182,14 +182,11 @@ class TwistedConjugation:
         is r[dl[y]] on element indices."""
         return [(self._dlmul[j], self.group._rmul[j]) for j in sorted(J)]
 
-    def delta_apply(self, w: WeylElement) -> WeylElement:
-        return delta_on_element(self.delta, w)
-
     def twisted_conjugate(self, x: WeylElement, y: WeylElement, J) -> WeylElement:
         """d(x) y x^-1 for x in W_J."""
         if not self.group.in_parabolic(x, J):
             raise ValueError(f"x = {x!r} is not in the parabolic subgroup W_{sorted(J)}")
-        return self.delta_apply(x) * y * x.inverse()
+        return delta_on_element(self.delta, x) * y * x.inverse()
 
     # -- orbits ---------------------------------------------------------------
 
@@ -216,11 +213,6 @@ class TwistedConjugation:
             ),
             parts._part_of,
         )
-
-    def orbit(self, y: WeylElement, J) -> TwistedOrbit:
-        """The twisted W_J-orbit of y."""
-        orbits, orbit_of = self.orbit_partition(J)
-        return orbits[orbit_of[y.index]]
 
     # -- stabilizer type -------------------------------------------------------
 
@@ -286,10 +278,6 @@ class TwistedConjugation:
         elems = self.group.elements
         return tuple(tuple(map(elems.__getitem__, part)) for part in self._scc(J).all())
 
-    def same_shift_class(self, w: WeylElement, w2: WeylElement, J) -> bool:
-        parts = self._scc(J)
-        return parts[w.index] == parts[w2.index]
-
     @memoized
     def _scc(self, J: frozenset[int]) -> _Parts:
         # A shift step by j is an involution, so a length-preserving edge
@@ -347,11 +335,6 @@ class TwistedConjugation:
             return out
 
         return _Parts(g.order, twists)
-
-    def strongly_conjugate(self, w: WeylElement, w2: WeylElement, J) -> bool:
-        """Whether w ~ w2: a chain of length-preserving, length-additive twists."""
-        comp = self._strong_components(J)
-        return comp[w.index] == comp[w2.index]
 
     # -- reduction to distinguished form -----------------------------------------
 

@@ -29,7 +29,6 @@ in W^J (`is_min_left_word`) and its reduced word (`reduced_word`).
 
 from __future__ import annotations
 
-import operator
 from array import array
 from functools import cached_property
 from typing import Iterable
@@ -109,9 +108,9 @@ class _Elements(dict):
     """The elements of a group by index, each created on its first lookup.
 
     A lookup of an element already made is the dict's own C-level lookup;
-    only a miss runs `__missing__`. Length, iteration, membership and
-    equality with a tuple or list read it as the sequence of all elements in
-    index order, and a negative index counts from the end.
+    only a miss runs `__missing__`. Length, iteration and membership read it
+    as the sequence of all elements in index order; an index must lie in
+    range(order).
     """
 
     __slots__ = ("_group",)
@@ -121,11 +120,9 @@ class _Elements(dict):
         self._group = group
 
     def __missing__(self, x: int) -> WeylElement:
+        # the length array that WeylElement reads rejects x >= order, not x < 0
         if x < 0:
-            if x + len(self) < 0:
-                raise IndexError(f"element index {x} out of range")
-            return self[x + len(self)]
-        # WeylElement reads the length array, which rejects x >= order
+            raise IndexError(f"element index {x} out of range")
         w = self[x] = WeylElement(self._group, x)
         return w
 
@@ -137,14 +134,6 @@ class _Elements(dict):
 
     def __contains__(self, w) -> bool:
         return isinstance(w, WeylElement) and w.group is self._group
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, list)):
-            return NotImplemented
-        return len(other) == len(self) and all(map(operator.eq, self, other))
-
-    def __ne__(self, other) -> bool:
-        return not self == other
 
 
 class WeylGroup:
@@ -166,7 +155,6 @@ class WeylGroup:
         self._inverse_index, self._rmul = _inverse_and_right(left, self._length, self._first)
         self.elements: _Elements = _Elements(self)
         self.identity: WeylElement = self.elements[0]
-        self._simple = tuple(self.elements[lm[0]] for lm in left[1:])
         self._memo: dict = {}
 
     # -- basic structure ----------------------------------------------------
@@ -175,11 +163,6 @@ class WeylGroup:
     def simple_indices(self) -> range:
         return range(1, self.rank + 1)
 
-    def simple_reflection(self, i: int) -> WeylElement:
-        if not 1 <= i <= self.rank:
-            raise IndexError(f"simple index {i} out of range 1..{self.rank}")
-        return self._simple[i - 1]
-
     def from_word(self, letters: Iterable[int]) -> WeylElement:
         x, rmul = 0, self._rmul
         for i in letters:
@@ -187,10 +170,6 @@ class WeylGroup:
                 raise IndexError(f"simple index {i} out of range 1..{self.rank}")
             x = rmul[i][x]
         return self.elements[x]
-
-    @cached_property
-    def longest_element(self) -> WeylElement:
-        return self.elements[-1]
 
     # -- descents and coset representatives ----------------------------------
 

@@ -31,6 +31,12 @@ def root_perm(w) -> tuple[int, ...]:
     return perm
 
 
+def orbit_of(tc, y, J):
+    """The twisted W_J-orbit of y, looked up in the orbit partition."""
+    orbits, position = tc.orbit_partition(J)
+    return orbits[position[y.index]]
+
+
 @pytest.fixture(scope="session")
 def group_of():
     """Session-cached Weyl group factory keyed by type label."""

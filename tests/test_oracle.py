@@ -10,7 +10,9 @@ import flagpieces as fp
 from flagpieces import oracle, pieces, word_str
 from flagpieces.oracle import (
     OracleReport,
-    bruhat_lower_set_oracle,
+    _stabilizer_scan,
+    _subset_images,
+    _subword_products,
     check_class_partition,
     check_closure_agreement,
     check_coset_minimality,
@@ -19,7 +21,6 @@ from flagpieces.oracle import (
     enumerate_stabilizing_sequences,
     irreducible_oracle,
     positive_roots_oracle,
-    stabilizer_type_oracle,
     subsets_of,
 )
 from flagpieces.rootsys import CartanDatum, DiagramAutomorphism
@@ -54,39 +55,38 @@ def test_failure_count_exact_across_subsets(group_of, monkeypatch):
 def test_bruhat_oracle_trivial_cases(group_of):
     g = group_of("A2")
     for v in g.elements:
-        lower = bruhat_lower_set_oracle(v)
-        assert g.identity in lower
-        assert v in lower
+        lower = _subword_products(g, v.word)
+        assert g.identity.index in lower
+        assert v.index in lower
 
 
 def test_bruhat_oracle_matches_fast_path(group_of):
     g = group_of("B2")
     for v in g.elements:
-        lower = bruhat_lower_set_oracle(v)
+        lower = _subword_products(g, v.word)
         for u in g.elements:
-            assert (u in lower) == g.bruhat_leq(u, v)
+            assert (u.index in lower) == g.bruhat_leq(u, v)
 
 
 def test_bruhat_oracle_longest_element_of_f4_is_all_of_w(group_of):
     # 24 letters: the scan keeps one set per prefix, so it is not exponential
     g = group_of("F4")
-    assert bruhat_lower_set_oracle(g.longest_element) == set(g.elements)
+    assert _subword_products(g, g.elements[g.order - 1].word) == set(range(g.order))
 
 
 def test_bruhat_lower_set(group_of):
     g = group_of("A2")
-    lower = bruhat_lower_set_oracle(g.longest_element)
-    assert lower == set(g.elements)
-    assert bruhat_lower_set_oracle(g.identity) == {g.identity}
+    assert _subword_products(g, g.elements[g.order - 1].word) == set(range(g.order))
+    assert _subword_products(g, g.identity.word) == {g.identity.index}
 
 
 def test_stabilizer_type_oracle_examples(tc_of):
     tc = tc_of("A2", "id")
     g = tc.group
     for J in subsets_of(g.simple_indices):
-        assert stabilizer_type_oracle(tc, J, g.identity) == J
+        assert _stabilizer_scan(g.identity, _subset_images(tc, J)) == J
     tcf = tc_of("A2", "flip")
-    assert stabilizer_type_oracle(tcf, {1}, g.from_word([1, 2])) == frozenset({1})
+    assert _stabilizer_scan(g.from_word([1, 2]), _subset_images(tcf, {1})) == frozenset({1})
 
 
 def test_enumerate_sequences_counts(tc_of):
@@ -142,7 +142,7 @@ def test_closure_matrix_oracle_matches_per_cell_reference(tc_of, label, spec, su
             mins.append([v for v in orbit if v.length == low])
         several += sum(len(m) > 1 for m in mins)
         for vp in {vp for m in mins for vp in m} - lower.keys():
-            lower[vp] = {u.index for u in bruhat_lower_set_oracle(vp)}
+            lower[vp] = _subword_products(g, vp.word)
         expected = [
             [all(any(v.index in lower[vp] for v in ma) for vp in mb) for mb in mins]
             for ma in mins
@@ -211,6 +211,33 @@ def test_closure_agreement_counts_every_flipped_bit(tc_of, monkeypatch, J, k):
     assert rep.instances_checked == n * n * (1 if J else 2)
 
 
+@pytest.mark.parametrize("planted", ["dropped", "transitive"])
+def test_closure_agreement_counts_one_wrong_hasse_edge(tc_of, monkeypatch, planted):
+    # the rows stay right; the edges lose their first cover, or gain the
+    # bottom below the top, a relation that is not a cover: one failure
+    # either way, and the instances are those of the rows
+    tc = tc_of("A3", "flip")
+    J = frozenset({1})
+    real = pieces.closure_poset(tc, J)
+    n = len(real.records)
+    edges = set(real.hasse_edges)
+    if planted == "dropped":
+        (a, b), expected, got = real.hasse_edges[0], "True", "False"
+        edges.remove((a, b))
+    else:
+        (a, b), expected, got = (0, n - 1), "False", "True"
+        assert real.leq(a, b) and (a, b) not in edges
+        edges.add((a, b))
+    broken = real._replace(hasse_edges=tuple(sorted(edges)))
+    monkeypatch.setattr(pieces, "closure_poset", lambda tc_, J_: broken)
+
+    rep = check_closure_agreement(tc, J)
+
+    words = [word_str(r.index_w) for r in real.records]
+    assert (rep.instances_checked, rep.failure_count) == (n * n, 1)
+    assert rep.failures == [(f"J=[1] {words[b]} covers {words[a]}", expected, got)]
+
+
 def test_closure_agreement_makes_no_bruhat_leq_calls(tc_of, monkeypatch):
     def refuse(self, u, v):
         raise AssertionError("bruhat_leq called")
@@ -271,7 +298,7 @@ def test_closure_matrix_oracle_rejects_some_any_disagreement():
     g = fp.weyl_group("A2")
     tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
     reach = list(g._bruhat_up_reach)
-    reach[0] &= ~(1 << g.simple_reflection(2).index)
+    reach[0] &= ~(1 << g.from_word([2]).index)
     g.__dict__["_bruhat_up_reach"] = tuple(reach)
     with pytest.raises(AssertionError, match=r"some/any disagree for w=W\[e\], w2=W\[2\], J=\[1\]"):
         closure_matrix_oracle(tc, {1})
@@ -285,7 +312,7 @@ def test_closure_agreement_fails_a_reach_bit_flipped_at_one_of_two_minima(flippe
     g = fp.weyl_group("A2")
     tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
     reach = list(g._bruhat_up_reach)
-    reach[0] &= ~(1 << g.simple_reflection(flipped).index)
+    reach[0] &= ~(1 << g.from_word([flipped]).index)
     g.__dict__["_bruhat_up_reach"] = tuple(reach)
     rep = oracle._run_guarded("closure-agreement", check_closure_agreement, tc, frozenset({1}))
     assert (rep.instances_checked, rep.failure_count) == (1, 1)
@@ -408,7 +435,7 @@ def test_shift_reduction_records_a_broken_path(group_of, monkeypatch):
     g = group_of("A3")
     tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
     J = frozenset({1})
-    s1, s2, s3 = (g.simple_reflection(i) for i in (1, 2, 3))
+    s1, s2, s3 = (g.from_word([i]) for i in (1, 2, 3))
     real = tc.reduce_to_distinguished
 
     def planted(w, J_):
@@ -422,6 +449,25 @@ def test_shift_reduction_records_a_broken_path(group_of, monkeypatch):
     assert rep.failures == [("J=[1] w=1", "valid shift path", "broken path")]
 
 
+def test_shift_reduction_records_a_step_outside_j(group_of, monkeypatch):
+    # the step tables cover every simple index: a path from s1 by j = 2,
+    # outside J = {1}, reaches d(s2) s1 s2 = s2 s1 s2 and raises the length,
+    # so it is one failure, not a KeyError
+    g = group_of("A3")
+    tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
+    s1, s2s1s2 = g.from_word([1]), g.from_word([2, 1, 2])
+    real = tc.reduce_to_distinguished
+
+    def planted(w, J_):
+        red = real(w, J_)
+        return red._replace(path=((2, s2s1s2),)) if w == s1 else red
+
+    monkeypatch.setattr(tc, "reduce_to_distinguished", planted)
+    rep = oracle.check_shift_reduction(tc, {1})
+    assert (rep.instances_checked, rep.failure_count) == (24, 1)
+    assert rep.failures == [("J=[1] w=1", "valid shift path", "broken path")]
+
+
 def test_shift_reduction_records_a_wrong_distinguished_form(group_of, monkeypatch):
     # A3 flip at J = {1}: the table gives e the form e * e; planted as e * s1,
     # the tail leaves the stabilizer type (empty) and the path ends at e, not
@@ -430,7 +476,7 @@ def test_shift_reduction_records_a_wrong_distinguished_form(group_of, monkeypatc
     g = group_of("A3")
     tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
     J = frozenset({1})
-    s1 = g.simple_reflection(1)
+    s1 = g.from_word([1])
     forms = dict(tc._distinguished_forms(J))
     assert forms[0] == (0, 0)
     forms[0] = (0, s1.index)
@@ -451,7 +497,7 @@ def test_sequence_bijection_records_a_wrong_step(group_of, monkeypatch):
     g = group_of("A3")
     tc = fp.TwistedConjugation(g, DiagramAutomorphism.from_spec(g.root_system, "flip"))
     J = frozenset({1, 3})
-    s2 = g.simple_reflection(2)
+    s2 = g.from_word([2])
     real = oracle.sequence_for
 
     def planted(tc_, J_, w):
@@ -518,7 +564,7 @@ def test_strong_conjugacy_records_a_minimum_split_off(group_of, monkeypatch, par
     orbits, _ = tc.orbit_partition(J)
     real = getattr(tc, parts)(J)
     planted = {k: real[k] for k in range(g.order)}
-    planted[g.simple_reflection(1).index] = -1
+    planted[g.from_word([1]).index] = -1
     monkeypatch.setattr(tc, parts, lambda J_: planted)
     rep = oracle.check_strong_conjugacy(tc, J)
     assert rep.instances_checked == sum(o.n_min**2 for o in orbits)

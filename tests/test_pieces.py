@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 import flagpieces as fp
-from conftest import SCOPE
+from conftest import SCOPE, orbit_of
 from flagpieces import pairs
 from flagpieces import pieces as pieces_mod
 from flagpieces import word_str
@@ -67,7 +67,7 @@ def test_sequence_identity_stabilizes_at_stable_subset(tc_of):
 def test_sequence_requires_min_rep(tc_of):
     tc = tc_of("A2", "id")
     with pytest.raises(ValueError, match="minimal coset representative"):
-        sequence_for(tc, {1}, tc.group.simple_reflection(1))
+        sequence_for(tc, {1}, tc.group.from_word([1]))
 
 
 def test_sequence_round_trip(tc_of):
@@ -125,9 +125,9 @@ def test_validate_sequence_rejects_corruption(tc_of):
     with pytest.raises(SequenceError, match="stable pair"):
         validate_sequence(tc, broken)
     broken2 = TwistedSequence(
-        ((frozenset({1}), g.simple_reflection(1)),),
+        ((frozenset({1}), g.from_word([1])),),
         frozenset({1}),
-        g.simple_reflection(1),
+        g.from_word([1]),
     )
     with pytest.raises(SequenceError, match="condition \\(c\\)"):
         validate_sequence(tc, broken2)
@@ -136,14 +136,14 @@ def test_validate_sequence_rejects_corruption(tc_of):
 def test_twisted_leq_reflexive_and_chain(tc_of):
     tc = tc_of("A2", "id")
     g = tc.group
-    e, s2, s1s2 = g.identity, g.simple_reflection(2), g.from_word([1, 2])
+    e, s2, s1s2 = g.identity, g.from_word([2]), g.from_word([1, 2])
     for w in (e, s2, s1s2):
         assert twisted_leq(tc, {1}, w, w)
     assert twisted_leq(tc, {1}, e, s2)
     assert twisted_leq(tc, {1}, s2, s1s2)
     assert not twisted_leq(tc, {1}, s1s2, s2)
     with pytest.raises(ValueError, match="minimal coset representative"):
-        twisted_leq(tc, {1}, g.simple_reflection(1), e)
+        twisted_leq(tc, {1}, g.from_word([1]), e)
 
 
 def test_twisted_leq_at_empty_j_is_bruhat(tc_of):
@@ -221,8 +221,8 @@ def test_piece_closure_examples(tc_of):
     tc = tc_of("A2", "id")
     g = tc.group
     assert [word_str(b) for b in piece_closure(tc, {1}, g.identity)] == ["e"]
-    assert [word_str(b) for b in piece_closure(tc, {1}, g.simple_reflection(2))] == ["e", "2"]
-    full = piece_closure(tc, {1}, g.longest_element)
+    assert [word_str(b) for b in piece_closure(tc, {1}, g.from_word([2]))] == ["e", "2"]
+    full = piece_closure(tc, {1}, g.elements[g.order - 1])
     assert full == g.min_coset_reps({1}, "left")
 
 
@@ -245,7 +245,7 @@ def test_piece_records_fields(tc_of):
     for r in records:
         assert r.index_w.inverse() == r.inv_w
         assert tc.group.is_min_left_rep(r.inv_w, {1})
-        assert r.orbit_min == tc.orbit(r.inv_w, {1}).min_elements
+        assert r.orbit_min == orbit_of(tc, r.inv_w, {1}).min_elements
     # J = I: irreducibility flag not applicable
     for r in piece_records(tc, {1, 2}):
         assert r.irreducible is None
@@ -260,11 +260,11 @@ def test_is_irreducible_examples(tc_of):
     tcf = tc_of("A2", "flip")
     tci = tc_of("A2", "id")
     assert flags(tci, {1})[g.identity] is False
-    assert flags(tcf, {1})[g.simple_reflection(2)] is True
+    assert flags(tcf, {1})[g.from_word([2])] is True
     tc3 = tc_of("A3", "id")
-    assert flags(tc3, {1})[tc3.group.simple_reflection(2)] is False
+    assert flags(tc3, {1})[tc3.group.from_word([2])] is False
     assert set(flags(tci, {1, 2}).values()) == {None}  # J = I: not applicable
-    assert g.simple_reflection(1) not in flags(tci, {1})  # s1 is not in ^{1}W
+    assert g.from_word([1]) not in flags(tci, {1})  # s1 is not in ^{1}W
 
 
 @pytest.mark.parametrize("label,spec", [("A2", "flip"), ("B2", "id"), ("A3", "flip")])
@@ -284,7 +284,7 @@ def test_parabolic_restriction_examples(tc_of):
     w = g.from_word([2, 1])
     assert parabolic_restriction_type(g, {1}, {2}, w) == frozenset({1})
     with pytest.raises(ValueError, match="not in"):
-        parabolic_restriction_type(g, {1}, {2}, g.simple_reflection(1))
+        parabolic_restriction_type(g, {1}, {2}, g.from_word([1]))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -359,15 +359,29 @@ def test_closure_poset_matches_pairwise_bruhat(tc_of, label, spec):
         assert (poset.leq_rows, poset.hasse_edges) == _closure_by_pairs(tc, J)
 
 
+@pytest.mark.parametrize(
+    "label,spec,subsets",
+    [(t, d, None) for t, specs in SCOPE for d in specs]
+    + [("B4", "id", None), ("F4", "id", [{1}]), ("D5", "flip", [set()])],
+)
+def test_closure_rows_are_triangular_in_record_order(tc_of, label, spec, subsets):
+    # the premise of the one-step covers in closure_poset: record order is a
+    # linear extension, so no row has a bit below its own index
+    tc = tc_of(label, spec)
+    for J in subsets or subsets_of(tc.group.simple_indices):
+        rows = closure_poset(tc, J).leq_rows
+        assert all(row >> a << a == row for a, row in enumerate(rows)), sorted(J)
+
+
 @pytest.mark.parametrize("label,spec", [("A3", "flip"), ("B3", "id"), ("D4", "tri")])
 def test_twisted_leq_matches_pairwise_bruhat(tc_of, label, spec):
     tc = tc_of(label, spec)
     g = tc.group
     for J in subsets_of(g.simple_indices):
         for w in g.min_coset_reps(J, "right"):
-            mins_w = tc.orbit(w, J).min_elements
+            mins_w = orbit_of(tc, w, J).min_elements
             for w2 in g.elements:
-                target = tc.orbit(w2, J).min_elements[0] if g.is_min_left_rep(w2, J) else w2
+                target = orbit_of(tc, w2, J).min_elements[0] if g.is_min_left_rep(w2, J) else w2
                 expected = any(g.bruhat_leq(v, target) for v in mins_w)
                 assert twisted_leq(tc, J, w, w2) == expected
 
@@ -387,7 +401,7 @@ def test_closure_and_twisted_leq_make_no_bruhat_leq_calls(tc_of, monkeypatch):
         assert check_order_axioms(tc, J).passed
         reps = g.min_coset_reps(J, "right")
         for w in reps:
-            for w2 in (reps[-1], g.longest_element, g.simple_reflection(1)):
+            for w2 in (reps[-1], g.elements[g.order - 1], g.from_word([1])):
                 twisted_leq(tc, J, w, w2)
 
 
@@ -400,7 +414,7 @@ def test_twisted_leq_rejects_foreign_elements(tc_of):
 
 def test_twisted_leq_rejects_an_element_outside_w_j(tc_of):
     tc = tc_of("A3", "flip")
-    s1 = tc.group.simple_reflection(1)  # s1 s1 < s1, so s1 is not in W^{1}
+    s1 = tc.group.from_word([1])  # s1 s1 < s1, so s1 is not in W^{1}
     with pytest.raises(ValueError, match="minimal coset representative"):
         twisted_leq(tc, {1}, s1, s1)
 
@@ -460,7 +474,7 @@ def test_twisted_leq_verify_detects_representative_dependence(tc_of, monkeypatch
     base = tc_of("A2", "id")
     tc = fp.TwistedConjugation(base.group, base.delta)
     g = tc.group
-    s1, s2 = g.simple_reflection(1), g.simple_reflection(2)
+    s1, s2 = g.from_word([1]), g.from_word([2])
     _plant_s1_minima(monkeypatch)
     assert not twisted_leq(tc, set(), s2, s1)  # read at the first minimum, s1
     rep = check_order_axioms(tc, set())
@@ -491,7 +505,7 @@ def test_pieces_build_no_orbit_partition(tc_of, monkeypatch, label, spec):
             [matrix[a][b] for b in at] for a in at
         ]
         for w in reps:
-            for w2 in (reps[-1], g.longest_element, g.simple_reflection(1)):
+            for w2 in (reps[-1], g.elements[g.order - 1], g.from_word([1])):
                 if w2 in pos:
                     expected = matrix[pos[w]][pos[w2]]
                 else:
@@ -512,8 +526,8 @@ def test_e6_pieces_create_few_elements():
     assert len(piece_records(tc, J)) == 27
     made = sum(1 for o in gc.get_objects() if isinstance(o, fp.WeylElement) and o.group is g)
     assert made < 1000 < g.order
-    orbit_of = tc.orbit_partition(J)[1]
-    assert isinstance(orbit_of, array) and orbit_of.typecode == "I"
+    position = tc.orbit_partition(J)[1]
+    assert isinstance(position, array) and position.typecode == "I"
 
 
 @pytest.mark.parametrize(
@@ -636,7 +650,7 @@ def test_piece_rows_match_piece_records(tc_of, label, delta_spec):
         for r in records:
             assert r.inv_w == r.index_w.inverse()
             assert r.stabilizer_set == tc.stabilizer_type(J, r.inv_w)
-            assert r.orbit_min == tc.orbit(r.inv_w, J).min_elements
+            assert r.orbit_min == orbit_of(tc, r.inv_w, J).min_elements
             assert r.irreducible == (None if J == full else fp.stable_support(r.index_w, tc.delta) == full)
 
 
@@ -653,7 +667,7 @@ def test_level_search_labels_are_the_min_coset_reps(group_of):
         pos = {y.index: u for u, y in enumerate(reps)}
         for i in g.simple_indices:
             for u, y in enumerate(reps):
-                z = g.simple_reflection(i) * y
+                z = g.from_word([i]) * y
                 if z.index in pos:
                     assert left[i][u] == pos[z.index]
                 else:

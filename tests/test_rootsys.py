@@ -50,14 +50,13 @@ def test_negation_is_index_shift():
         rs = root_system(label)
         n = rs.n_positive
         for r in range(2 * n):
-            assert rs.roots[rs.neg_index(r)] == -rs.roots[r]
-            assert rs.neg_index(rs.neg_index(r)) == r
+            assert rs.roots[(r + n) % (2 * n)] == -rs.roots[r]
 
 
 def test_reflect_simple_to_its_negative():
     rs = root_system("A2")
     i1 = rs.simple_root_index(1)
-    assert rs.reflect(1, i1) == rs.neg_index(i1)
+    assert rs.reflect(1, i1) == i1 + rs.n_positive
 
 
 def test_reflect_a2_examples():
