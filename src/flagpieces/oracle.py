@@ -56,8 +56,6 @@ from .weyl import WeylElement, WeylGroup, word_str
 
 _MAX_FAILURES = 8  # per report; enough to debug without flooding output
 
-_STABILIZER_SUBSET_CAP = 12
-
 
 class OracleReport:
     """Outcome of one agreement check: name, coverage, and any failures."""
@@ -122,10 +120,7 @@ def _subword_products(g: WeylGroup, word) -> set[int]:
 
 def _subset_images(tc: TwistedConjugation, J) -> dict[frozenset[int], frozenset[int]]:
     """{K: d(K)} for every subset K of J, in `subsets_of` order (J last)."""
-    J = frozenset(J)
-    if len(J) > _STABILIZER_SUBSET_CAP:
-        raise ValueError(f"refusing all-subsets scan for |J| = {len(J)} > {_STABILIZER_SUBSET_CAP}")
-    return {K: tc.delta.subset(K) for K in subsets_of(J)}
+    return {K: tc.delta.subset(K) for K in subsets_of(frozenset(J))}
 
 
 def _stabilizer_scan(w: WeylElement, images: dict[frozenset[int], frozenset[int]]) -> frozenset[int]:
@@ -692,7 +687,8 @@ def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
     """closure_poset vs the literal matrix, and each record's orbit minima vs
     the literal ones (counted with its row); at J = empty, vs Bruhat order.
     The Hasse edges are compared with the covers of the literal matrix, one
-    failure per differing pair, counted with the rows. The records must hold
+    failure per differing pair, per extra copy of an edge, and for edges out
+    of ascending order, counted with the rows. The records must hold
     each label of ^JW once; otherwise each label held another number of
     times is one failure, and no row is compared."""
     rep = OracleReport("closure-agreement")
@@ -734,6 +730,12 @@ def check_closure_agreement(tc: TwistedConjugation, J) -> OracleReport:
     edges = [0] * n
     for a, b in poset.hasse_edges:
         edges[a] |= 1 << b
+    for (a, b), k in Counter(poset.hasse_edges).items():
+        for _ in range(k - 1):
+            rep.record(f"J={sorted(J)} copies of edge {words[b]} covers {words[a]}", 1, k)
+    distinct = list(dict.fromkeys(poset.hasse_edges))
+    if distinct != sorted(distinct):
+        rep.record(f"J={sorted(J)} order of the Hasse edges", "ascending", "not ascending")
     for ia, above in enumerate(strict):
         covers = above & ~reduce(or_, itertools.compress(strict, _bit_flags(above, n)), 0)
         for ib in _bits(covers ^ edges[ia]):

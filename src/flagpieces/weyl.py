@@ -2,29 +2,29 @@
 
 A WeylGroup checks the closed-form order against the element ceiling, then
 enumerates the whole group breadth-first, one length level at a time, keyed on
-w(rho) packed into one int (`pairs._level_search`, into tables sized once
-from the closed-form order). Discovery order is already the
-deterministic element order (length, then lexicographically smallest reduced
-word). Per element the group keeps only index arrays: its length and its
-smallest left descent (`array('B')`), and, for each simple index i, a left
-table (s_i w) and a right table (w s_i) of element indices (`array('I')`).
-The search gives the left tables; the right tables and the inverses follow
-from w = s_f v, with f the smallest left descent, one gather per run of a
-level sharing f (`pairs._inverse_and_right`). A WeylElement is created,
-and kept, when its index is first looked up in `WeylGroup.elements`; its
-reduced word is derived then, by stepping down through the smallest left
-descents. Elements multiply by walking a reduced word through the tables;
-since the order is by length first, a table entry larger than its argument is
-a length-increasing step, which decides descents and coset minimality and
-grows coset representatives from the identity. A parabolic subgroup W_J is
-also kept as a prefix tree, each element below the one without its smallest
-left descent, so a product by every element of W_J takes one table step per
-element (`_sweep`). Root images walk a reduced word through the simple
-reflections of the root system. The Bruhat covering digraph and its
-reachability closure are built on demand; the closure is the one Bruhat
-table, a bitmask per element u of the v with u <= v. Two functions read a
-word with no group table, on the root system alone: whether its product lies
-in W^J (`is_min_left_word`) and its reduced word (`reduced_word`).
+w(rho) packed into one int (`pairs._level_search`, into tables sized once from
+the closed-form order). Discovery order is already the deterministic element
+order (length, then lexicographically smallest reduced word). Per element the
+group keeps only index arrays: its length and its smallest left descent
+(`array('B')`), and, for each simple index i, a left table (s_i w) and a right
+table (w s_i) of element indices (`array('I')`). The search gives the left
+tables; the right tables and the inverses follow from w = s_f v, with f the
+smallest left descent, one gather per run of a level sharing f
+(`pairs._inverse_and_right`). A WeylElement is created, and kept, when its
+index is first looked up in `WeylGroup.elements`; its reduced word is derived
+then, by stepping down through the smallest left descents. Elements multiply
+by walking a reduced word through the tables; since the order is by length
+first, a table entry larger than its argument is a length-increasing step,
+which decides descents and coset minimality. W_J and W^J are the level
+searches of rho under the s_j, j in J, and of lambda_J under every s_i, read
+as prefix trees (`_search_tree`); along the tree of W_J a product by every
+element of W_J takes one table step each (`_sweep`). Root images walk a
+reduced word through the simple reflections of the root system. The Bruhat
+covering digraph and its reachability closure are built on demand; the closure
+is the one Bruhat table, a bitmask per element u of the v with u <= v. Two
+functions read a word with no group table, on the root system alone: whether
+its product lies in W^J (`is_min_left_word`) and its reduced word
+(`reduced_word`).
 """
 
 from __future__ import annotations
@@ -213,28 +213,18 @@ class WeylGroup:
     @memoized
     def parabolic_elements(self, subset) -> tuple[WeylElement, ...]:
         """All elements of the standard parabolic subgroup W_J, in group order."""
-        # x != e in W_J is s_f x' with f = _first[x] in J and x' in W_J, so
-        # the steps x' -> s_j x' that land on an x with _first[x] = j reach
-        # each element of W_J once from the identity
-        lmul, first = self._lmul, self._first
-        found = [0]
-        for x in found:  # found grows while it is walked
-            found.extend(lmul[j][x] for j in subset if first[lmul[j][x]] == j)
-        return tuple(map(self.elements.__getitem__, sorted(found)))
+        return tuple(map(self.elements.__getitem__, self._sweep(subset, 0, left=self._lmul)))
 
     @memoized
     def _parabolic_tree(self, subset) -> tuple[tuple[int, int], ...]:
-        """W_J as a prefix tree: per x in parabolic_elements(J), in that order,
-        (position of s_f x, f) for f = _first[x]; the identity, first, has
-        (0, 0). f is a left descent of x, so it lies in J, and s_f x is a
-        shorter element of W_J, so it comes earlier."""
-        lmul, first = self._lmul, self._first
-        xs = [x.index for x in self.parabolic_elements(subset)]
-        pos = {x: k for k, x in enumerate(xs)}
-        return ((0, 0),) + tuple((pos[lmul[first[x]][x]], first[x]) for x in xs[1:])
+        """W_J as a prefix tree, the `_search_tree` of rho under the s_j, j in
+        J: per x in W_J, in group order, (position of s_f x, f) for f the
+        smallest left descent of x; the identity, first, has (0, 0)."""
+        order = self.root_system.parabolic_order(subset)
+        return _search_tree(self.root_system, [1] * self.rank, sorted(subset), order)
 
     def _sweep(self, subset, y: int, left=None, right=None) -> list[int]:
-        """Per x in W_J, in the order of parabolic_elements(J), the index of
+        """Per x in W_J, in group order, the index of
         L(x) y R(x)^-1, where left and right are tables indexed by a letter
         like _lmul and _rmul (left=_lmul gives x y, right=_rmul gives y x^-1).
         With x = s_f x', each value is one or two table steps from the value
@@ -259,27 +249,22 @@ class WeylGroup:
 
     @memoized
     def min_coset_reps(self, subset, side: str = "right") -> tuple[WeylElement, ...]:
-        """W^J (side="right": minimal in w W_J) or ^JW (side="left")."""
-        # ^JW is closed under prefixes of reduced words and W^J under suffixes
-        # (Bjorner-Brenti, GTM 231, 2.4), so each grows from the identity by
-        # length-increasing steps that stay inside it: ^JW by w -> w s_i
-        # through _rmul, W^J by w -> s_i w through _lmul.
+        """W^J (side="right": minimal in w W_J) or ^JW (side="left"), in group order."""
         if side == "right":
-            grow, test = self._lmul, self._rmul
+            # W^J is the orbit of lambda_J, the sum of the fundamental weights
+            # off J, whose stabilizer is W_J; each point is s_f of its parent
+            rs, lmul, xs = self.root_system, self._lmul, [0]
+            start = [int(i not in subset) for i in self.simple_indices]
+            tree = _search_tree(rs, start, self.simple_indices, self.order // rs.parabolic_order(subset))
+            for p, f in tree[1:]:
+                xs.append(lmul[f][xs[p]])
         elif side == "left":
-            grow, test = self._rmul, self._lmul
+            # ^JW is the inverses of W^J
+            inv = self._inverse_index
+            xs = sorted(inv[w.index] for w in self.min_coset_reps(subset, "right"))
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        found = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for i in self.simple_indices:
-                y = grow[i][x]
-                if y > x and y not in found and all(test[j][y] > y for j in subset):
-                    found.add(y)
-                    stack.append(y)
-        return tuple(self.elements[x] for x in sorted(found))
+        return tuple(map(self.elements.__getitem__, xs))
 
     def min_double_coset_reps(self, left_subset, right_subset) -> tuple[WeylElement, ...]:
         """^JW^K: minimal representatives of W_J \\ W / W_K."""
@@ -350,6 +335,13 @@ class WeylGroup:
         if u.group is not self or v.group is not self:
             raise ValueError("elements do not belong to this group")
         return (self._bruhat_up_reach[u.index] >> v.index) & 1 == 1
+
+
+def _search_tree(root_system: RootSystem, start, letters, capacity: int) -> tuple[tuple[int, int], ...]:
+    """The orbit `_level_search` finds, as a prefix tree: per point u, in search
+    order, (s_f u, f) for f = first[u]; the start, first, has (0, 0)."""
+    left, _, first = _level_search(root_system, start, letters, capacity)
+    return ((0, 0),) + tuple((left[f][u], f) for u, f in enumerate(first[1:], 1))
 
 
 def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> WeylGroup:

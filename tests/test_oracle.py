@@ -211,31 +211,36 @@ def test_closure_agreement_counts_every_flipped_bit(tc_of, monkeypatch, J, k):
     assert rep.instances_checked == n * n * (1 if J else 2)
 
 
-@pytest.mark.parametrize("planted", ["dropped", "transitive"])
+@pytest.mark.parametrize("planted", ["dropped", "transitive", "doubled", "reversed"])
 def test_closure_agreement_counts_one_wrong_hasse_edge(tc_of, monkeypatch, planted):
-    # the rows stay right; the edges lose their first cover, or gain the
-    # bottom below the top, a relation that is not a cover: one failure
-    # either way, and the instances are those of the rows
+    # the rows stay right; the edges lose their first cover, gain the
+    # bottom below the top (a relation that is not a cover), list their
+    # first cover twice, or run backwards: one failure each way, and the
+    # instances are those of the rows
     tc = tc_of("A3", "flip")
     J = frozenset({1})
     real = pieces.closure_poset(tc, J)
-    n = len(real.records)
-    edges = set(real.hasse_edges)
+    n, edges = len(real.records), real.hasse_edges
+    words = [word_str(r.index_w) for r in real.records]
+    a, b = edges[0]
     if planted == "dropped":
-        (a, b), expected, got = real.hasse_edges[0], "True", "False"
-        edges.remove((a, b))
-    else:
-        (a, b), expected, got = (0, n - 1), "False", "True"
+        edges, expected = edges[1:], (f"J=[1] {words[b]} covers {words[a]}", "True", "False")
+    elif planted == "transitive":
+        a, b = 0, n - 1
         assert real.leq(a, b) and (a, b) not in edges
-        edges.add((a, b))
-    broken = real._replace(hasse_edges=tuple(sorted(edges)))
+        edges = tuple(sorted(edges + ((a, b),)))
+        expected = (f"J=[1] {words[b]} covers {words[a]}", "False", "True")
+    elif planted == "doubled":
+        edges, expected = edges[:1] + edges, (f"J=[1] copies of edge {words[b]} covers {words[a]}", "1", "2")
+    else:
+        edges, expected = edges[::-1], ("J=[1] order of the Hasse edges", "ascending", "not ascending")
+    broken = real._replace(hasse_edges=edges)
     monkeypatch.setattr(pieces, "closure_poset", lambda tc_, J_: broken)
 
     rep = check_closure_agreement(tc, J)
 
-    words = [word_str(r.index_w) for r in real.records]
     assert (rep.instances_checked, rep.failure_count) == (n * n, 1)
-    assert rep.failures == [(f"J=[1] {words[b]} covers {words[a]}", expected, got)]
+    assert rep.failures == [expected]
 
 
 def test_closure_agreement_makes_no_bruhat_leq_calls(tc_of, monkeypatch):

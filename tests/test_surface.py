@@ -75,3 +75,20 @@ def test_test_references_are_needed_and_used():
     for name in TEST_REFERENCES:
         assert name in names and name not in referenced, name
         assert re.search(rf"\b{name}\b", tests), name
+
+
+def test_every_imported_name_is_read():
+    # each name an import binds in a module is read in that module (an
+    # annotation counts), so a deletion leaves no dead import behind, which
+    # could load a module on a path that does not need it
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []

@@ -651,6 +651,25 @@ def test_min_coset_reps_memo_stores_no_failed_call(group_of):
     assert g._memo == before
 
 
+@pytest.mark.parametrize("off", [1, -1])
+def test_wrong_parabolic_order_raises_and_stores_nothing(monkeypatch, off):
+    # the W_J and W^J searches are sized from |W_J| in closed form; one more
+    # or one less makes them raise, and no memo keeps a result. For these J
+    # of A3 the size of W^J, |W| // |W_J|, moves with |W_J| too
+    g = weyl_group("A3")
+    closed_form = fp.RootSystem.parabolic_order
+    monkeypatch.setattr(fp.RootSystem, "parabolic_order", lambda rs, J: closed_form(rs, J) + off)
+    for J in ({1}, {1, 3}):
+        for side in ("right", "left"):
+            with pytest.raises((ValueError, IndexError)):
+                g.min_coset_reps(J, side)
+        with pytest.raises((ValueError, IndexError)):
+            g._parabolic_tree(J)
+        with pytest.raises((ValueError, IndexError)):
+            g.parabolic_elements(J)
+    assert g._memo == {}
+
+
 @pytest.mark.parametrize("label", ["A3", "B4", "C3", "D4", "F4", "G2", "D5", "E6"])
 def test_parabolic_order_is_the_closed_form(group_of, label):
     # |W_J| from the heights of the positive roots of Phi_J sizes the W_J
