@@ -3,11 +3,11 @@ pieces computed on pairs (y, x) with y in W^J and x in W_J.
 
 Nothing here builds a group table: the `pieces` command loads this module,
 `rootsys` and the CLI, and no other. `_level_search` enumerates the orbit of a
-dominant weight under some simple reflections, into tables sized once from
-the orbit's closed-form count: the orbit of rho gives W or a parabolic
-subgroup W_J (`weyl.WeylGroup` is built from it), and the orbit of lambda_J
-gives W^J. `_inverse_and_right` derives the inverses and right tables from
-the left ones. The bit kernels read and pack whole rows of bits in C-level
+dominant weight under some simple reflections, sized from its closed-form
+count and run once per root system: the orbit of rho gives W or W_J, that of
+lambda_J gives W^J, for the group table (`weyl.WeylGroup`) and the pair engine
+alike. `_inverse_and_right` derives the inverses and right tables from the
+left ones. The bit kernels read and pack whole rows of bits in C-level
 calls, for `pieces.closure_poset` and the oracle. `_piece_rows` gives the
 pieces that every command prints, and `verify` checks.
 """
@@ -19,7 +19,7 @@ from array import array
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .rootsys import DiagramAutomorphism, RootSystem, _stable_closure, _stable_part
+from .rootsys import DiagramAutomorphism, RootSystem, _stable_closure, _stable_part, memoized
 
 
 def _weight_field(root_system: RootSystem) -> tuple[int, int]:
@@ -34,32 +34,43 @@ def _weight_field(root_system: RootSystem) -> tuple[int, int]:
     return (2 * top).bit_length(), top
 
 
-# entry of a left table where s_i fixes the searched weight (see _level_search)
+# entry of a left table where s_i fixes the searched weight (see _sized_search)
 _FIXED = 0xFFFFFFFF
 
 
-def _level_search(root_system: RootSystem, start, letters, capacity: int):
-    """Breadth-first search of the orbit of a dominant weight under the simple
-    reflections s_i, i in letters (increasing), one length level at a time.
+@memoized
+def _level_search(root_system: RootSystem, letters, support: frozenset):
+    """`_sized_search` of the weight lambda = sum of omega_j, j in support,
+    under W_letters, run once per root system and kept in its `_memo`: the
+    group table and the pair engine share it, and no caller writes into it.
+    The stabilizer of lambda in W_letters is W_(letters - support), which
+    gives the orbit size in closed form (`RootSystem.parabolic_order`)."""
+    order, stabilizer = root_system.parabolic_order, letters - support
+    size = order(letters) // order(stabilizer) if stabilizer else order(letters)
+    return _sized_search(root_system, sorted(letters), support, size)
 
-    start gives the weight's fundamental-weight coordinates, each 0 or 1. An
-    orbit point lambda = w(start) stands for the shortest such w; it is keyed
-    by its coordinates lambda_j = <lambda, alpha_j^vee>, each stored plus the
-    offset in its own field of one int (`_weight_field`). s_i subtracts
-    lambda_i alpha_i, i.e. lambda_i times column i of the Cartan matrix, and
-    l(s_i w) > l(w) iff lambda_i > 0. With i as the outer loop and the level,
-    in order, as the inner one, each point is first reached from the smallest
-    left descent i of its w, so numbering by discovery gives the (length,
-    lexicographically smallest reduced word) order and that word is
-    (i,) + word(s_i w).
+
+def _sized_search(root_system: RootSystem, letters, support, capacity: int):
+    """Breadth-first search of the orbit of lambda = sum of omega_j, j in
+    support, under the simple reflections s_i, i in letters (increasing), one
+    length level at a time.
+
+    An orbit point mu = w(lambda) stands for the shortest such w; it is keyed
+    by its coordinates mu_j = <mu, alpha_j^vee>, each stored plus the offset
+    in its own field of one int (`_weight_field`). s_i subtracts mu_i alpha_i,
+    i.e. mu_i times column i of the Cartan matrix, and l(s_i w) > l(w) iff
+    mu_i > 0. With i as the outer loop and the level, in order, as the inner
+    one, each point is first reached from the smallest left descent i of its
+    w, so numbering by discovery gives the (length, lexicographically
+    smallest reduced word) order and that word is (i,) + word(s_i w).
 
     Returns (left, length, first): left[i][u] is the index of s_i u for i in
-    letters, or _FIXED where lambda_i = 0 and s_i fixes the point (the other
+    letters, or _FIXED where mu_i = 0 and s_i fixes the point (the other
     slots of left, 0 included, are empty); length[u] and first[u] are the
     length and smallest left descent of w (first[0] = 0). capacity is the
-    exact orbit size, known in closed form, and sizes every table at once. A
-    wrong one raises: IndexError on a left table when the search outgrows
-    it, ValueError naming both counts otherwise.
+    exact orbit size, and sizes every table at once. A wrong one raises:
+    IndexError on a left table when the search outgrows it, ValueError naming
+    both counts otherwise.
     """
     rank = root_system.rank
     a = root_system.datum.cartan_matrix
@@ -72,7 +83,7 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int):
     length, first = array("B", [0]) * capacity, array("B", [0]) * capacity
     n = 1
     columns = {i: sum(a[j][i - 1] << s for j, s in enumerate(shifts)) for i in letters}
-    level = [sum((c + offset) << s for c, s in zip(start, shifts))]
+    level = [sum((int(j in support) + offset) << s for j, s in enumerate(shifts, 1))]
     base = 0  # index of level[0]
     depth = 1  # length of the points found from level
     while level:
@@ -96,7 +107,7 @@ def _level_search(root_system: RootSystem, start, letters, capacity: int):
         depth += 1
     if n != capacity:
         raise ValueError(f"the orbit has {n} points, but the tables were sized for {capacity}")
-    return left, length, first
+    return tuple(left), length, first
 
 
 def _inverse_and_right(left, length, first) -> tuple[array, tuple[array, ...]]:
@@ -194,31 +205,27 @@ def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
     rank, J = rs.rank, frozenset(J)
     letters = range(1, rank + 1)
     full = frozenset(letters)
-    xl, xlen, xfirst = _level_search(rs, [1] * rank, sorted(J), rs.parabolic_order(J))
+    xl, xlen, xfirst = _level_search(rs, J, full)
     xr = _inverse_and_right(xl, xlen, xfirst)[1]
-    yl, ylen, yfirst = _level_search(
-        rs, [int(i not in J) for i in letters], letters, rs.datum.weyl_group_order // len(xlen)
-    )
+    yl, ylen, yfirst = _level_search(rs, full, full - J)
     # fixed[y][i] = k where s_i y = y s_k, by increasing i; a y with no such
     # i has no entry
     fixed: dict[int, dict[int, int]] = {}
     simple_of = {rs.simple_root_index(k): k for k in letters}
     reflect = rs.simple_reflection_table
     for i in letters:
-        li = yl[i]
-        for u in [u for u, v in enumerate(li) if v == _FIXED]:
+        for u in [u for u, v in enumerate(yl[i]) if v == _FIXED]:
             r, v = rs.simple_root_index(i), u
             while v:  # y^-1 = (s_f y')^-1 = y'^-1 s_f
                 f = yfirst[v]
                 r, v = reflect[f - 1][r], yl[f][v]
             fixed.setdefault(u, {})[i] = simple_of[r]
-            li[u] = u
 
     no_fixed: dict[int, int] = {}
 
     def left(i: int, y: int, x: int) -> tuple[int, int]:
         v = yl[i][y]
-        if v != y:
+        if v != _FIXED:
             return v, x
         return y, xl[fixed[y][i]][x]
 
@@ -251,7 +258,7 @@ def _piece_rows(delta: DiagramAutomorphism, J) -> tuple[_PieceRow, ...]:
             y_word.append(f)
             v = yl[f][v]
             t = yl[f][y]
-            if t != y:
+            if t != _FIXED:
                 y = t
             else:
                 x = xl[fixed[y][f]][x]

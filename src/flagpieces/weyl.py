@@ -2,8 +2,9 @@
 
 A WeylGroup checks the closed-form order against the element ceiling, then
 enumerates the whole group breadth-first, one length level at a time, keyed on
-w(rho) packed into one int (`pairs._level_search`, into tables sized once from
-the closed-form order). Discovery order is already the deterministic element
+w(rho) packed into one int (`pairs._level_search`, which sizes its tables from
+the closed-form order and shares them through the root system's memo).
+Discovery order is already the deterministic element
 order (length, then lexicographically smallest reduced word). Per element the
 group keeps only index arrays: its length and its smallest left descent
 (`array('B')`), and, for each simple index i, a left table (s_i w) and a right
@@ -29,7 +30,6 @@ its product lies in W^J (`is_min_left_word`) and its reduced word
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property
 from typing import Iterable
 
@@ -141,18 +141,14 @@ class WeylGroup:
 
     def __init__(self, root_system: RootSystem, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.root_system = root_system
-        self.rank = rank = root_system.rank
-        datum = root_system.datum
-        check_ceiling(datum, max_elements)
-        # rho is regular, so its orbit points are the elements themselves
-        left, self._length, self._first = _level_search(
-            root_system, [1] * rank, self.simple_indices, datum.weyl_group_order
-        )
+        self.rank = root_system.rank
+        check_ceiling(root_system.datum, max_elements)
+        # rho is regular, so its orbit points are the elements; _lmul[i][w] is
+        # the index of s_i w, _rmul[i][w] that of w s_i (slot 0 is unused)
+        full = frozenset(self.simple_indices)
+        self._lmul, self._length, self._first = _level_search(root_system, full, full)
         self.order = len(self._length)
-        # multiplication tables, indexed by the 1-based simple index (slot 0 is
-        # unused): _lmul[i][w] is the index of s_i w, _rmul[i][w] that of w s_i
-        self._lmul: tuple[array, ...] = tuple(left)
-        self._inverse_index, self._rmul = _inverse_and_right(left, self._length, self._first)
+        self._inverse_index, self._rmul = _inverse_and_right(self._lmul, self._length, self._first)
         self.elements: _Elements = _Elements(self)
         self.identity: WeylElement = self.elements[0]
         self._memo: dict = {}
@@ -220,8 +216,7 @@ class WeylGroup:
         """W_J as a prefix tree, the `_search_tree` of rho under the s_j, j in
         J: per x in W_J, in group order, (position of s_f x, f) for f the
         smallest left descent of x; the identity, first, has (0, 0)."""
-        order = self.root_system.parabolic_order(subset)
-        return _search_tree(self.root_system, [1] * self.rank, sorted(subset), order)
+        return _search_tree(self.root_system, subset, frozenset(self.simple_indices))
 
     def _sweep(self, subset, y: int, left=None, right=None) -> list[int]:
         """Per x in W_J, in group order, the index of
@@ -253,10 +248,8 @@ class WeylGroup:
         if side == "right":
             # W^J is the orbit of lambda_J, the sum of the fundamental weights
             # off J, whose stabilizer is W_J; each point is s_f of its parent
-            rs, lmul, xs = self.root_system, self._lmul, [0]
-            start = [int(i not in subset) for i in self.simple_indices]
-            tree = _search_tree(rs, start, self.simple_indices, self.order // rs.parabolic_order(subset))
-            for p, f in tree[1:]:
+            lmul, xs, full = self._lmul, [0], frozenset(self.simple_indices)
+            for p, f in _search_tree(self.root_system, full, full - subset)[1:]:
                 xs.append(lmul[f][xs[p]])
         elif side == "left":
             # ^JW is the inverses of W^J
@@ -337,10 +330,10 @@ class WeylGroup:
         return (self._bruhat_up_reach[u.index] >> v.index) & 1 == 1
 
 
-def _search_tree(root_system: RootSystem, start, letters, capacity: int) -> tuple[tuple[int, int], ...]:
+def _search_tree(root_system: RootSystem, letters, support) -> tuple[tuple[int, int], ...]:
     """The orbit `_level_search` finds, as a prefix tree: per point u, in search
     order, (s_f u, f) for f = first[u]; the start, first, has (0, 0)."""
-    left, _, first = _level_search(root_system, start, letters, capacity)
+    left, _, first = _level_search(root_system, letters, support)
     return ((0, 0),) + tuple((left[f][u], f) for u, f in enumerate(first[1:], 1))
 
 

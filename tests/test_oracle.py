@@ -7,7 +7,7 @@ import time
 import pytest
 
 import flagpieces as fp
-from flagpieces import oracle, pieces, word_str
+from flagpieces import oracle, pairs, pieces, word_str
 from flagpieces.oracle import (
     OracleReport,
     _stabilizer_scan,
@@ -683,6 +683,50 @@ def test_subset_checks_build_the_closure_poset_once(group_of, monkeypatch):
         calls.clear()
         assert all(rep.passed for rep in oracle.run_subset_checks(g, delta, J))
         assert calls == [J]
+
+
+def test_the_suite_runs_each_search_once(monkeypatch, verify_workers):
+    # the group table and the pair engine share the searches kept on the
+    # root system: over a full suite, W, and each W_J and W^J, is searched
+    # once
+    verify_workers(1)
+    calls = []
+    real = pairs._sized_search
+    monkeypatch.setattr(pairs, "_sized_search", lambda *args: calls.append(args[1:3]) or real(*args))
+    g = fp.weyl_group("A3")
+    full = frozenset(g.simple_indices)
+    assert all(r.passed for r in oracle.run_all_checks(g, DiagramAutomorphism.from_spec(g.root_system, "flip")))
+    searched = [(frozenset(letters), support) for letters, support in calls]
+    assert len(searched) == len(set(searched))
+    assert set(searched) == {(J, full) for J in subsets_of(full)} | {(full, full - J) for J in subsets_of(full)}
+
+
+def _search_bytes(rs) -> dict:
+    """Every search kept in rs's memo, each table as bytes."""
+    return {
+        key: [bytes(table) for table in (*search[0], *search[1:])]
+        for key, search in rs._memo.items()
+        if key[0] is pairs._level_search.__wrapped__
+    }
+
+
+@pytest.mark.parametrize("label,spec", [("A3", "flip"), ("D4", "tri")])
+def test_shared_searches_stay_unchanged(verify_workers, label, spec):
+    # no reader writes into a search it shares: neither the pair engine, on
+    # each J, nor the full suite
+    verify_workers(1)
+    g = fp.weyl_group(label)
+    rs, full = g.root_system, frozenset(g.simple_indices)
+    delta = DiagramAutomorphism.from_spec(rs, spec)
+    for J in subsets_of(full):
+        pairs._level_search(rs, J, full)
+        pairs._level_search(rs, full, full - J)
+        before = _search_bytes(rs)
+        pairs._piece_rows(delta, J)
+        assert _search_bytes(rs) == before, sorted(J)
+    before = _search_bytes(rs)
+    assert all(r.passed for r in oracle.run_all_checks(g, delta))
+    assert _search_bytes(rs) == before
 
 
 @pytest.mark.parametrize("width", [2, 3])

@@ -659,10 +659,9 @@ def test_level_search_labels_are_the_min_coset_reps(group_of):
     # entries are the Deodhar steps s_i y = y s_k; W^J is read off a full
     # scan, since min_coset_reps is read off this same search
     g = group_of("D4")
-    rs = g.root_system
+    rs, full = g.root_system, frozenset(g.simple_indices)
     for J in subsets_of(g.simple_indices):
-        size = g.order // rs.parabolic_order(J)
-        left, length, first = _level_search(rs, [int(i not in J) for i in g.simple_indices], g.simple_indices, size)
+        left, length, first = _level_search(rs, full, full - J)
         reps = [w for w in g.elements if g.is_min_left_rep(w, J)]
         assert list(length) == [y.length for y in reps]
         pos = {y.index: u for u, y in enumerate(reps)}

@@ -18,7 +18,8 @@ from flagpieces.oracle import (
     check_length_additivity,
     subsets_of,
 )
-from flagpieces.pairs import _inverse_and_right, _level_search
+from flagpieces import pairs
+from flagpieces.pairs import _inverse_and_right, _level_search, _sized_search
 from flagpieces.rootsys import GroupTooLargeError
 from flagpieces.weyl import WeylElement
 
@@ -540,7 +541,7 @@ def test_parabolic_tables_match_the_group(group_of, label):
     g = group_of(label)
     rs = g.root_system
     for J in subsets_of(g.simple_indices):
-        left, length, first = _level_search(rs, [1] * g.rank, sorted(J), rs.parabolic_order(J))
+        left, length, first = _level_search(rs, J, frozenset(g.simple_indices))
         inv, right = _inverse_and_right(left, length, first)
         words = [()]
         for u in range(1, len(length)):
@@ -557,14 +558,14 @@ def test_parabolic_tables_match_the_group(group_of, label):
 
 
 def _searches(rs):
-    """Every level search the package runs on rs, with its exact size: the
-    group, and per J its parabolic subgroup W_J and its labels W^J."""
-    order = rs.datum.weyl_group_order
-    yield [1] * rs.rank, range(1, rs.rank + 1), order
-    for J in subsets_of(range(1, rs.rank + 1)):
+    """Every level search the package runs on rs, as (letters, support, exact
+    size): the group, and per J its parabolic subgroup W_J and its labels W^J."""
+    order, full = rs.datum.weyl_group_order, frozenset(range(1, rs.rank + 1))
+    yield full, full, order
+    for J in subsets_of(full):
         size = rs.parabolic_order(J)
-        yield [1] * rs.rank, sorted(J), size
-        yield [int(i not in J) for i in range(1, rs.rank + 1)], range(1, rs.rank + 1), order // size
+        yield J, full, size
+        yield full, full - J, order // size
 
 
 @pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4", "D5"}))
@@ -572,8 +573,8 @@ def test_level_search_first_letters_ascend_within_a_level(label):
     # _inverse_and_right gathers one run per level and first letter, so
     # first must not decrease within a level
     rs = fp.build_root_system(fp.CartanDatum.from_label(label))
-    for start, letters, size in _searches(rs):
-        left, length, first = _level_search(rs, start, letters, size)
+    for letters, support, size in _searches(rs):
+        left, length, first = _level_search(rs, letters, support)
         assert len(length) == size
         assert all(len(left[i]) == size for i in letters)
         assert all(
@@ -587,11 +588,43 @@ def test_level_search_refuses_a_wrong_size(label):
     # orbit writes none, and fails on the count), one spare slot fails
     # naming both counts
     rs = fp.build_root_system(fp.CartanDatum.from_label(label))
-    for start, letters, size in _searches(rs):
+    for letters, support, size in _searches(rs):
         with pytest.raises(IndexError if size > 1 else ValueError):
-            _level_search(rs, start, letters, size - 1)
+            _sized_search(rs, sorted(letters), support, size - 1)
         with pytest.raises(ValueError, match=f"has {size} points.* sized for {size + 1}"):
-            _level_search(rs, start, letters, size + 1)
+            _sized_search(rs, sorted(letters), support, size + 1)
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_wrong_parabolic_order_leaves_no_search_in_the_memo(monkeypatch, off):
+    # a search sized from a wrong closed form raises, IndexError or
+    # ValueError (J = {} has a trivial stabilizer, whose order is not looked
+    # up), and the root system's memo keeps no search that a later caller
+    # could read
+    rs = fp.build_root_system(fp.CartanDatum.from_label("A3"))
+    closed_form = fp.RootSystem.parabolic_order
+    monkeypatch.setattr(fp.RootSystem, "parabolic_order", lambda rs, J: closed_form(rs, J) + off)
+    full = frozenset(range(1, 4))
+    for J in (frozenset(), frozenset({1}), frozenset({1, 3})):
+        for letters, support in ((J, full), (full, full - J)):
+            with pytest.raises((ValueError, IndexError)):
+                _level_search(rs, letters, support)
+    assert [key for key in rs._memo if key[0] is _level_search.__wrapped__] == []
+
+
+def test_the_table_adds_no_search(monkeypatch):
+    # W^{} and W_I are the group itself: reading them off a built table runs
+    # no search, and the table's arrays are the ones its search keeps
+    g = weyl_group("B3")
+    rs, full = g.root_system, frozenset(g.simple_indices)
+    calls = []
+    real = pairs._sized_search
+    monkeypatch.setattr(pairs, "_sized_search", lambda *args: calls.append(args[1:3]) or real(*args))
+    assert g.min_coset_reps(set(), "right") == tuple(g.elements)
+    assert g.parabolic_elements(g.simple_indices) == tuple(g.elements)
+    assert calls == []
+    left, length, first = rs._memo[(_level_search.__wrapped__, full, full)]
+    assert g._lmul is left and g._length is length and g._first is first
 
 
 @pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE} | {"F4"}))
