@@ -2,28 +2,28 @@
 
 Everything here chases definitions with explicit quantifiers: subword scans
 for the Bruhat order, all-subsets scans for stabilizer types, recursive
-enumeration of stabilizing sequences, and the twisted order unrolled over
-full minimal-orbit sets. The literal sets (twisted orbits, classes, cosets
-and double cosets) are sets of element indices with one value per x in the
-parabolic subgroup: a sweep of its prefix tree (`WeylGroup._sweep`) gets the
-value at x = s_f x' from the value at x' in one or two table steps, so no
-element object is made per product and no word is walked per x, and a union
-of orbits or cosets skips a start it already holds (`_sweep_union`); the
-quantifiers over those sets are unchanged. The checks compare these against
-the fast paths and return OracleReport records; they are shipped in the
-library so the CLI verify command can run them in the field. All
-verification lives here, and no fast path has a checking mode:
+enumeration of stabilizing sequences, and the twisted order unrolled over full
+minimal-orbit sets. The literal sets (twisted orbits, classes, cosets and
+double cosets) are sets of element indices with one value per x in the
+parabolic subgroup: a sweep of its prefix tree, the runs of its search
+(`WeylGroup._sweep`), gets the value at x = s_f x' from the value at x' in one
+or two table steps, so no element object is made per product and no word is
+walked per x, and a union of orbits or cosets skips a start it already holds
+(`_sweep_union`); the quantifiers over those sets are unchanged. The checks
+compare these against the fast paths and return OracleReport records; they are
+shipped in the library so the CLI verify command can run them in the field.
+All verification lives here, and no fast path has a checking mode:
 `check_order_axioms` checks the poset axioms and the independence of the
-twisted order from the orbit minimum on the fast path's own records.
-`run_all_checks` runs each group check and each subset's checks as one job,
-spread over this process and forked worker processes, one per CPU (all in
-this process, in the serial order, under a tracer or profiler). The processes
-pull job numbers from one pipe, the group checks first and then the subsets'
-jobs longest first, and the reports merge in the serial order: group checks
-first, then each per-subset check over the subsets in `subsets_of` order.
-The bit reads of the twisted-order checks are whole-row C-level calls
-(`pairs._bit_flags`, `_gather`, `_pack`); the orbits, minimal sets and
-quantifiers they read are still built literally.
+twisted order from the orbit minimum on the fast path's own records. A check
+that raises fails once (`_run_guarded`). `run_all_checks` runs each group
+check and each subset's checks as one job, spread over this process and forked
+worker processes, one per CPU (all in this process, in the serial order, under
+a tracer or profiler). The processes pull job numbers from one pipe, the group
+checks first and then the subsets' jobs longest first, and the reports merge
+in the serial order: group checks first, then each per-subset check over the
+subsets in `subsets_of` order. The bit reads of the twisted-order checks are
+whole-row C-level calls (`pairs._bit_flags`, `_gather`, `_pack`); the orbits,
+minimal sets and quantifiers they read are still built literally.
 """
 
 from __future__ import annotations
@@ -209,9 +209,9 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
     """Literal evaluation of the twisted order over W^J x W^J.
 
     Returns (reps, matrix, minima): matrix[a][b] = (reps[a] <= reps[b]), 1 or
-    0, and minima[b] the orbit minima of reps[b], ascending indices. Orbits
-    and their minima are recomputed as one literal pass over W_J, and the
-    some/any forms of the definition are both evaluated and compared.
+    0, in rows of bytes, and minima[b] the orbit minima of reps[b], ascending
+    indices. Orbits and their minima are recomputed as one literal pass over
+    W_J, and the some/any forms of the definition are evaluated and compared.
     Row a is read off one byte per element, the flag of "some minimal v of
     the orbit of reps[a] lies below it": the OR of the Bruhat up-sets of
     those v, expanded in one C-level call. Some minimum of an orbit has the
@@ -241,7 +241,7 @@ def closure_matrix_oracle(tc: TwistedConjugation, J):
             raise AssertionError(
                 f"some/any disagree for w={w!r}, w2={w2!r}, J={sorted(J)}"
             )
-        matrix.append(list(at_leads(flags)))
+        matrix.append(bytes(at_leads(flags)))
     return reps, matrix, minima
 
 
@@ -810,12 +810,12 @@ GROUP_CHECKS = (
 
 
 def _run_guarded(name: str, check, *args) -> OracleReport:
-    # an assertion in a check or in an oracle it calls, or an internal error
-    # raised by the library, surfaces as a check failure, not a traceback, so
-    # the verify command can report and exit 1
+    # any exception but MemoryError is one failure: verify reports and exits 1
     try:
         return check(*args)
-    except (AssertionError, RuntimeError) as exc:
+    except MemoryError:
+        raise
+    except Exception as exc:
         rep = OracleReport(name)
         rep.instances_checked = 1
         rep.record(str(exc), "no assertion failure", type(exc).__name__)

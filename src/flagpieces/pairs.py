@@ -110,28 +110,31 @@ def _sized_search(root_system: RootSystem, letters, support, capacity: int):
     return tuple(left), length, first
 
 
-def _inverse_and_right(left, length, first) -> tuple[array, tuple[array, ...]]:
-    """w^-1 per index and the right tables (w s_i), for the tables of a group
-    or a parabolic subgroup (`_level_search` of rho); a right table is empty
-    where the left one is.
-
-    w = s_f v for f = first[w] and v one level down, so w s_i = s_f (v s_i)
-    and w^-1 = v^-1 s_f. The points of one level with one first letter f are
-    one run of indices, so each table takes one gather per run (in chunks of
-    at most 2^14 positions, to bound the transient ints)."""
-    n = len(length)
-    inv = array("I", [0]) * n
-    right = [array("I", lm[:1]) * n if lm else lm for lm in left]  # e s_i = s_i
-    a = 1
+def _runs(length, first):
+    """The runs of a search after its start, in order, as (f, a, b): points
+    a..b-1 share a level and the first letter f, which orders a level, so
+    their parents are left[f][a:b]; at most 2^14, to cap a gather's ints."""
+    n, a = len(length), 1
     while a < n:
         f = first[a]
         b = min(bisect_right(first, f, a, bisect_right(length, length[a], a)), a + (1 << 14))
+        yield f, a, b
+        a = b
+
+
+def _inverse_and_right(left, length, first) -> tuple[array, tuple[array, ...]]:
+    """w^-1 per index and the right tables (w s_i), for the tables of a group
+    or a parabolic subgroup (`_level_search` of rho); a right table is empty
+    where the left one is. w = s_f v for f = first[w] and v one level down, so
+    w s_i = s_f (v s_i) and w^-1 = v^-1 s_f: one gather per run (`_runs`)."""
+    inv = array("I", [0]) * len(length)
+    right = [array("I", lm[:1]) * len(inv) if lm else lm for lm in left]  # e s_i = s_i
+    for f, a, b in _runs(length, first):
         lf, at_v = left[f], _gather(left[f][a:b])
         for rm in right:
             if rm:
                 rm[a:b] = array("I", _gather(at_v(rm))(lf))
         inv[a:b] = array("I", _gather(at_v(inv))(right[f]))
-        a = b
     return inv, tuple(right)
 
 

@@ -31,7 +31,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .rootsys import DiagramAutomorphism, _stable_closure, _stable_part, memoized
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylElement, WeylGroup, _search_tree
 
 
 def delta_on_element(delta: DiagramAutomorphism, w: WeylElement) -> WeylElement:
@@ -299,39 +299,41 @@ class TwistedConjugation:
         # The relation is symmetric: twisting z = d(x) w x^-1 by x^-1 gives
         # back w, and d(x) w = z x (or w x^-1 = d(x^-1) z) carries the
         # length additivity over to the reverse step.
-        # Per element w, one sweep of the W_J tree (as in WeylGroup._sweep)
-        # gives d(x) w, w x^-1 and d(x) w x^-1 for x in W_J, each from its
-        # parent's values. With x = s_f x' (x' the parent, one shorter),
-        # d(x) w is length-additive iff d(x') w is and the step by s_d(f)
-        # raises it, and likewise w x^-1 with the step by s_f; so the sweep
-        # keeps each while it is additive (None after), and skips the subtree
-        # below an x where neither is. A part is walked when one of its
-        # members is first looked up: a step keeps the length and stays in
-        # the orbit, so the part of an orbit minimum holds only minima of
-        # that orbit, and `oracle.check_strong_conjugacy`, which looks up only
+        # Per element w, one sweep of the W_J tree, a run at a time as in
+        # WeylGroup._sweep, gives d(x) w, w x^-1 and d(x) w x^-1 for x in W_J,
+        # each from its parent's values. With x = s_f x' (x' the parent, one
+        # shorter), d(x) w is length-additive iff d(x') w is and the step by
+        # s_d(f) raises it, and likewise w x^-1 with the step by s_f; so the
+        # sweep keeps each while it is additive (None after), and skips the
+        # subtree below an x where neither is. A part is walked when one of its
+        # members is first looked up: a step keeps the length and stays in the
+        # orbit, so the part of an orbit minimum holds only minima of that
+        # orbit, and `oracle.check_strong_conjugacy`, which looks up only
         # minima, walks nothing else.
         g = self.group
         dl, rmul, length = self._dlmul, g._rmul, g._length
-        steps = g._parabolic_tree(J)[1:]
+        tree = _search_tree(g.root_system, J, g._full)
 
         def twists(k: int) -> list[int]:
             # the z = d(x) w x^-1 that keep the length, where d(x) w or
             # w x^-1 is length-additive
             lw = length[k]
             dxw, wxi, z, out = [k], [k], [k], [k]
-            for p, f in steps:
-                a, b, v = dxw[p], wxi[p], None
-                if a is not None:
-                    a = up if (up := dl[f][a]) > a else None
-                if b is not None:
-                    b = up if (up := rmul[f][b]) > b else None
-                if a is not None or b is not None:
-                    v = rmul[f][dl[f][z[p]]]
-                    if length[v] == lw:
-                        out.append(v)
-                dxw.append(a)
-                wxi.append(b)
-                z.append(v)
+            for parents, f in tree:
+                dlf, rf = dl[f], rmul[f]
+                for p in parents:
+                    a, b, v = dxw[p], wxi[p], None
+                    if a is not None:
+                        a = up if (up := dlf[a]) > a else None
+                    if b is not None:
+                        b = up if (up := rf[b]) > b else None
+                    if a is not None or b is not None:
+                        v = rf[dlf[z[p]]]
+                        if length[v] == lw:
+                            out.append(v)
+                    dxw.append(a)
+                    wxi.append(b)
+                    z.append(v)
             return out
 
         return _Parts(g.order, twists)

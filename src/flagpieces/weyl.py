@@ -4,22 +4,22 @@ A WeylGroup checks the closed-form order against the element ceiling, then
 enumerates the whole group breadth-first, one length level at a time, keyed on
 w(rho) packed into one int (`pairs._level_search`, which sizes its tables from
 the closed-form order and shares them through the root system's memo).
-Discovery order is already the deterministic element
-order (length, then lexicographically smallest reduced word). Per element the
-group keeps only index arrays: its length and its smallest left descent
-(`array('B')`), and, for each simple index i, a left table (s_i w) and a right
-table (w s_i) of element indices (`array('I')`). The search gives the left
-tables; the right tables and the inverses follow from w = s_f v, with f the
-smallest left descent, one gather per run of a level sharing f
-(`pairs._inverse_and_right`). A WeylElement is created, and kept, when its
-index is first looked up in `WeylGroup.elements`; its reduced word is derived
-then, by stepping down through the smallest left descents. Elements multiply
-by walking a reduced word through the tables; since the order is by length
-first, a table entry larger than its argument is a length-increasing step,
-which decides descents and coset minimality. W_J and W^J are the level
-searches of rho under the s_j, j in J, and of lambda_J under every s_i, read
-as prefix trees (`_search_tree`); along the tree of W_J a product by every
-element of W_J takes one table step each (`_sweep`). Root images walk a
+Discovery order is already the deterministic element order (length, then
+lexicographically smallest reduced word). Per element the group keeps only
+index arrays: its length and its smallest left descent (`array('B')`), and,
+for each simple index i, a left table (s_i w) and a right table (w s_i) of
+element indices (`array('I')`). The search gives the left tables; the right
+tables and the inverses follow from w = s_f v, with f the smallest left
+descent, one gather per run of a level sharing f (`pairs._runs`,
+`_inverse_and_right`). A WeylElement is created, and kept, when its index is
+first looked up in `WeylGroup.elements`; its reduced word is derived then, by
+stepping down through the smallest left descents. Elements multiply by walking
+a reduced word through the tables; since the order is by length first, a table
+entry larger than its argument is a length-increasing step, which decides
+descents and coset minimality. W_J and W^J are the level searches of rho under
+the s_j, j in J, and of lambda_J under every s_i, read as prefix trees of
+table slices, one per run (`_search_tree`); along the tree of W_J a product by
+every element of W_J takes one table step each (`_sweep`). Root images walk a
 reduced word through the simple reflections of the root system. The Bruhat
 covering digraph and its reachability closure are built on demand; the closure
 is the one Bruhat table, a bitmask per element u of the v with u <= v. Two
@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .pairs import _inverse_and_right, _level_search
+from .pairs import _inverse_and_right, _level_search, _runs
 from .rootsys import (
     DEFAULT_MAX_ELEMENTS,
     CartanDatum,
@@ -145,7 +145,7 @@ class WeylGroup:
         check_ceiling(root_system.datum, max_elements)
         # rho is regular, so its orbit points are the elements; _lmul[i][w] is
         # the index of s_i w, _rmul[i][w] that of w s_i (slot 0 is unused)
-        full = frozenset(self.simple_indices)
+        self._full = full = frozenset(self.simple_indices)
         self._lmul, self._length, self._first = _level_search(root_system, full, full)
         self.order = len(self._length)
         self._inverse_index, self._rmul = _inverse_and_right(self._lmul, self._length, self._first)
@@ -211,31 +211,23 @@ class WeylGroup:
         """All elements of the standard parabolic subgroup W_J, in group order."""
         return tuple(map(self.elements.__getitem__, self._sweep(subset, 0, left=self._lmul)))
 
-    @memoized
-    def _parabolic_tree(self, subset) -> tuple[tuple[int, int], ...]:
-        """W_J as a prefix tree, the `_search_tree` of rho under the s_j, j in
-        J: per x in W_J, in group order, (position of s_f x, f) for f the
-        smallest left descent of x; the identity, first, has (0, 0)."""
-        return _search_tree(self.root_system, subset, frozenset(self.simple_indices))
-
     def _sweep(self, subset, y: int, left=None, right=None) -> list[int]:
-        """Per x in W_J, in group order, the index of
-        L(x) y R(x)^-1, where left and right are tables indexed by a letter
-        like _lmul and _rmul (left=_lmul gives x y, right=_rmul gives y x^-1).
-        With x = s_f x', each value is one or two table steps from the value
-        at x', its parent in the tree."""
-        vals = [y]
-        append = vals.append
-        steps = self._parabolic_tree(subset)[1:]
-        if right is None:
-            for p, f in steps:
-                append(left[f][vals[p]])
-        elif left is None:
-            for p, f in steps:
-                append(right[f][vals[p]])
+        """Per x in W_J, in group order, the index of L(x) y R(x)^-1, for
+        tables indexed by a letter like _lmul and _rmul (left=_lmul gives x y,
+        right=_rmul gives y x^-1): with x = s_f x', one or two table steps from
+        the value at x', its parent in the tree of W_J (`_search_tree`)."""
+        vals, tree = [y], _search_tree(self.root_system, subset, self._full)
+        if left is None or right is None:
+            table = left or right
+            for parents, f in tree:
+                tf = table[f]
+                for p in parents:
+                    vals.append(tf[vals[p]])
         else:
-            for p, f in steps:
-                append(right[f][left[f][vals[p]]])
+            for parents, f in tree:
+                lf, rf = left[f], right[f]
+                for p in parents:
+                    vals.append(rf[lf[vals[p]]])
         return vals
 
     def in_parabolic(self, w: WeylElement, subset) -> bool:
@@ -248,9 +240,10 @@ class WeylGroup:
         if side == "right":
             # W^J is the orbit of lambda_J, the sum of the fundamental weights
             # off J, whose stabilizer is W_J; each point is s_f of its parent
-            lmul, xs, full = self._lmul, [0], frozenset(self.simple_indices)
-            for p, f in _search_tree(self.root_system, full, full - subset)[1:]:
-                xs.append(lmul[f][xs[p]])
+            lmul, xs, full = self._lmul, [0], self._full
+            for parents, f in _search_tree(self.root_system, full, full - subset):
+                lf = lmul[f]
+                xs += [lf[xs[p]] for p in parents]
         elif side == "left":
             # ^JW is the inverses of W^J
             inv = self._inverse_index
@@ -330,11 +323,13 @@ class WeylGroup:
         return (self._bruhat_up_reach[u.index] >> v.index) & 1 == 1
 
 
-def _search_tree(root_system: RootSystem, letters, support) -> tuple[tuple[int, int], ...]:
-    """The orbit `_level_search` finds, as a prefix tree: per point u, in search
-    order, (s_f u, f) for f = first[u]; the start, first, has (0, 0)."""
-    left, _, first = _level_search(root_system, letters, support)
-    return ((0, 0),) + tuple((left[f][u], f) for u, f in enumerate(first[1:], 1))
+@memoized
+def _search_tree(root_system: RootSystem, letters, support) -> tuple[tuple[Iterable[int], int], ...]:
+    """The orbit `_level_search` finds as a prefix tree, kept in the root
+    system's `_memo`: per run (`pairs._runs`), in order, (parents, f), with
+    parents the slice of the search's left table f holding s_f u per point u."""
+    left, length, first = _level_search(root_system, letters, support)
+    return tuple((left[f][a:b], f) for f, a, b in _runs(length, first))
 
 
 def weyl_group(label_or_datum, max_elements: int = DEFAULT_MAX_ELEMENTS) -> WeylGroup:

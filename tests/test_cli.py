@@ -475,6 +475,38 @@ def test_verify_output_same_for_any_worker_count(capsys, verify_workers, cartan,
         assert runs[2] == runs[0]
 
 
+def test_planted_tree_fault_fails_verify(capsys, monkeypatch, verify_workers):
+    # A3 flip: the tree of W_{1,2} gets the letter 2 on the run of s1 s2
+    # (level 2, first letter 1), so every walk of that tree reaches s2 s2 = e
+    # there. The table-free pieces stay right, so the literal checks fail,
+    # each by an exact count, and no traceback is printed
+    from flagpieces import twist, weyl
+
+    search_tree = weyl._search_tree
+
+    def planted(rs, letters, support):
+        tree = search_tree(rs, letters, support)
+        if frozenset(letters) == {1, 2} and support == {1, 2, 3}:
+            parents, f = tree[2]
+            assert (list(parents), f) == ([2], 1)
+            tree = tree[:2] + ((parents, 2),) + tree[3:]
+        return tree
+
+    monkeypatch.setattr(weyl, "_search_tree", planted)
+    monkeypatch.setattr(twist, "_search_tree", planted)
+    verify_workers(1)
+    code, out, err = run_cli(capsys, "--cartan", "A3", "--delta", "flip", "verify")
+    assert (code, err) == (1, "")
+    failures = {
+        line.split()[1]: int(line.split(", ")[1].split()[0])
+        for line in out.splitlines()
+        if line.startswith("FAIL ")
+    }
+    assert failures == {"class-partition": 2, "closure-agreement": 1}
+    assert out.count("\nPASS ") == 14
+    assert out.endswith("verdict: FAILURES FOUND\n")
+
+
 def _plant_in_worker(monkeypatch, handshake, action):
     """Make every per-J check run `action` in a worker process and pass in
     this one once a worker has started a per-J job, so that a worker runs

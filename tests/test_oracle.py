@@ -7,7 +7,7 @@ import time
 import pytest
 
 import flagpieces as fp
-from flagpieces import oracle, pairs, pieces, word_str
+from flagpieces import oracle, pairs, pieces, weyl, word_str
 from flagpieces.oracle import (
     OracleReport,
     _stabilizer_scan,
@@ -147,7 +147,7 @@ def test_closure_matrix_oracle_matches_per_cell_reference(tc_of, label, spec, su
             [all(any(v.index in lower[vp] for v in ma) for vp in mb) for mb in mins]
             for ma in mins
         ]
-        assert matrix == expected, sorted(J)
+        assert [list(row) for row in matrix] == expected, sorted(J)
         assert minima == [tuple(sorted(v.index for v in m)) for m in mins], sorted(J)
     assert several > 0
 
@@ -326,6 +326,22 @@ def test_closure_agreement_fails_a_reach_bit_flipped_at_one_of_two_minima(flippe
     ]
 
 
+def test_a_crash_in_a_check_is_one_failure():
+    # any exception is one failure, named by its type; running out of memory
+    # is raised on
+    def crash(tc, J):
+        raise KeyError(7)
+
+    def exhausted(tc, J):
+        raise MemoryError
+
+    rep = oracle._run_guarded("crash", crash, None, frozenset())
+    assert (rep.instances_checked, rep.failure_count) == (1, 1)
+    assert rep.failures == [("7", "no assertion failure", "KeyError")]
+    with pytest.raises(MemoryError):
+        oracle._run_guarded("exhausted", exhausted, None, frozenset())
+
+
 def _prefix_count_matrix(tc, J, reps, minima):
     """The closure matrix by the prefix-count definition: per row, the count
     of the minima of each orbit that lie above some minimum of the row's
@@ -356,7 +372,7 @@ def test_kernels_equal_their_plain_definitions(tc_of, label, spec):
     g = tc.group
     for J in subsets_of(g.simple_indices):
         reps, matrix, minima = closure_matrix_oracle(tc, J)
-        assert matrix == _prefix_count_matrix(tc, J, reps, minima)
+        assert [list(row) for row in matrix] == _prefix_count_matrix(tc, J, reps, minima)
         xs = g.parabolic_elements(J)
         for cls in tc.class_decomposition(J):
             bases = g._sweep(cls.stabilizer_set, cls.base.index, right=g._rmul)
@@ -702,18 +718,21 @@ def test_the_suite_runs_each_search_once(monkeypatch, verify_workers):
 
 
 def _search_bytes(rs) -> dict:
-    """Every search kept in rs's memo, each table as bytes."""
-    return {
-        key: [bytes(table) for table in (*search[0], *search[1:])]
-        for key, search in rs._memo.items()
-        if key[0] is pairs._level_search.__wrapped__
-    }
+    """Every search and search tree kept in rs's memo, each table or run as
+    bytes."""
+    out = {}
+    for key, value in rs._memo.items():
+        if key[0] is pairs._level_search.__wrapped__:
+            out[key] = [bytes(table) for table in (*value[0], *value[1:])]
+        elif key[0] is weyl._search_tree.__wrapped__:
+            out[key] = [(bytes(parents), f) for parents, f in value]
+    return out
 
 
 @pytest.mark.parametrize("label,spec", [("A3", "flip"), ("D4", "tri")])
 def test_shared_searches_stay_unchanged(verify_workers, label, spec):
     # no reader writes into a search it shares: neither the pair engine, on
-    # each J, nor the full suite
+    # each J, nor a walk of each tree, nor the full suite
     verify_workers(1)
     g = fp.weyl_group(label)
     rs, full = g.root_system, frozenset(g.simple_indices)
@@ -723,6 +742,16 @@ def test_shared_searches_stay_unchanged(verify_workers, label, spec):
         pairs._level_search(rs, full, full - J)
         before = _search_bytes(rs)
         pairs._piece_rows(delta, J)
+        assert _search_bytes(rs) == before, sorted(J)
+    tc = fp.TwistedConjugation(g, delta)
+    for J in subsets_of(full):
+        weyl._search_tree(rs, J, full)
+        weyl._search_tree(rs, full, full - J)
+        before = _search_bytes(rs)
+        g.min_coset_reps(J, "right")
+        for y in range(g.order):
+            g._sweep(J, y, tc._dlmul, g._rmul)
+            tc._strong_components(J)[y]
         assert _search_bytes(rs) == before, sorted(J)
     before = _search_bytes(rs)
     assert all(r.passed for r in oracle.run_all_checks(g, delta))
@@ -808,16 +837,19 @@ def test_pull_order_longest_first(group_of):
 def test_worker_exception_is_raised_again_in_parent(
     group_of, monkeypatch, verify_workers, worker_handshake
 ):
+    # a check that raises is one failure (`_run_guarded`), so the exception
+    # is planted around the checks, in the job that runs a subset's checks
     parent = os.getpid()
 
-    def bad(tc, J):
+    def bad(group, delta, J):
         if os.getpid() != parent:
             worker_handshake.started()
             raise ValueError(f"planted in a worker, J={sorted(J)}")
         worker_handshake.wait()
-        return OracleReport("bad")
+        return [OracleReport("bad")]
 
-    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("bad", bad),))
+    monkeypatch.setattr(oracle, "PER_SUBSET_CHECKS", (("bad", None),))
+    monkeypatch.setattr(oracle, "run_subset_checks", bad)
     verify_workers(2)
     g = group_of("A2")
     with pytest.raises(ValueError, match=r"planted in a worker, J=\[") as raised:

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from array import array
 from operator import mul
 
@@ -21,7 +22,7 @@ from flagpieces.oracle import (
 from flagpieces import pairs
 from flagpieces.pairs import _inverse_and_right, _level_search, _sized_search
 from flagpieces.rootsys import GroupTooLargeError
-from flagpieces.weyl import WeylElement
+from flagpieces.weyl import WeylElement, _search_tree
 
 
 def test_identity_and_involutions(group_of):
@@ -354,20 +355,44 @@ def test_parabolic_elements(group_of):
 
 @pytest.mark.parametrize("label", sorted({label for label, _ in SCOPE}))
 def test_parabolic_tree_is_a_prefix_tree(group_of, label):
-    # one entry per x in W_J, in parabolic_elements order: the position of
-    # s_f x and f, the smallest left descent of x, which lies in J
+    # one (parents, f) per run, the runs covering W_J after the identity in
+    # parabolic_elements order: f is the smallest left descent of each x of
+    # the run and lies in J, and the parent of x, one level down, comes
+    # earlier and is s_f x
     g = group_of(label)
+    full = frozenset(g.simple_indices)
     for J in subsets_of(g.simple_indices):
         wj = g.parabolic_elements(J)
         assert list(wj) == [w for w in g.elements if set(w.word) <= J]
-        tree = g._parabolic_tree(J)
-        assert len(tree) == len(wj)
-        assert tree[0] == (0, 0)
-        for k, ((p, f), x) in enumerate(zip(tree[1:], wj[1:]), 1):
-            descents = [i for i in g.simple_indices if (g.from_word([i]) * x).length < x.length]
-            assert f == min(descents) and f in J
-            assert p < k and wj[p] == g.from_word([f]) * x
+        tree = _search_tree(g.root_system, J, full)
+        assert sum(len(parents) for parents, _ in tree) == len(wj) - 1
+        k = 1
+        for parents, f in tree:
+            run = wj[k : k + len(parents)]
+            assert len({x.length for x in run}) == 1
+            for p, x in zip(parents, run):
+                descents = [i for i in g.simple_indices if (g.from_word([i]) * x).length < x.length]
+                assert f == min(descents) and f in J
+                assert p < k and wj[p] == g.from_word([f]) * x
+                assert wj[p].length == x.length - 1
+                k += 1
         assert g._sweep(J, 0, left=g._lmul) == [x.index for x in wj]
+
+
+def test_e6_tree_is_small():
+    # the tree of W = W_I on E6 is one array per run over the shared search,
+    # not one item per element
+    rs = fp.root_system("E6")
+    full = frozenset(range(1, 7))
+    _level_search(rs, full, full)
+    tracemalloc.start()
+    try:
+        tree = _search_tree.__wrapped__(rs, full, full)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(parents) for parents, _ in tree) == 51_839
+    assert held < 1 << 20
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4"])
@@ -690,6 +715,13 @@ def test_wrong_parabolic_order_raises_and_stores_nothing(monkeypatch, off):
     # or one less makes them raise, and no memo keeps a result. For these J
     # of A3 the size of W^J, |W| // |W_J|, moves with |W_J| too
     g = weyl_group("A3")
+    rs, full = g.root_system, frozenset(g.simple_indices)
+    kinds = (_level_search.__wrapped__, _search_tree.__wrapped__)
+
+    def searches():
+        return {key: rs._memo[key] for key in rs._memo if key[0] in kinds}
+
+    before = searches()
     closed_form = fp.RootSystem.parabolic_order
     monkeypatch.setattr(fp.RootSystem, "parabolic_order", lambda rs, J: closed_form(rs, J) + off)
     for J in ({1}, {1, 3}):
@@ -697,10 +729,11 @@ def test_wrong_parabolic_order_raises_and_stores_nothing(monkeypatch, off):
             with pytest.raises((ValueError, IndexError)):
                 g.min_coset_reps(J, side)
         with pytest.raises((ValueError, IndexError)):
-            g._parabolic_tree(J)
+            _search_tree(rs, J, full)
         with pytest.raises((ValueError, IndexError)):
             g.parabolic_elements(J)
     assert g._memo == {}
+    assert searches() == before
 
 
 @pytest.mark.parametrize("label", ["A3", "B4", "C3", "D4", "F4", "G2", "D5", "E6"])
